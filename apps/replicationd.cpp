@@ -99,12 +99,6 @@ int run_daemon(const util::Flags& flags) {
   config.snapshot_deltas = flags.get_bool("snapshot-deltas", false);
   config.snapshot_delta_limit = static_cast<std::size_t>(
       flags.get_long("snapshot-delta-limit", 16));
-  config.apply.shards =
-      static_cast<unsigned>(flags.get_int("shards", 1));
-  config.apply.threads =
-      static_cast<unsigned>(flags.get_int("apply-threads", 1));
-  config.apply.window = static_cast<std::size_t>(
-      flags.get_long("apply-window", 256));
   config.announce_path = flags.get_string("announce", "");
   const double deadline_s = flags.get_duration("deadline", 0.0);
 
@@ -171,8 +165,6 @@ int main(int argc, char** argv) {
         "Ingest:     --socket PATH | --tcp PORT | --input FILE|- [--follow]\n"
         "            --follow-poll DUR (EOF poll period, default 50ms)\n"
         "            --ingest-buffer BYTES (socket buffer cap)\n"
-        "Apply:      --shards N --apply-threads N --apply-window N\n"
-        "            (sharded parallel pipeline; byte-identical output)\n"
         "Monitor:    --port N (0 = ephemeral, -1 = off) --announce FILE\n"
         "Snapshots:  --snapshot FILE --snapshot-interval DUR\n"
         "            --snapshot-every N --restore\n"

@@ -97,19 +97,12 @@ void maybe_write_manifest(
     std::vector<std::pair<std::string, std::string>> config = {});
 
 /// Reads the standard engine flags (--threads, --progress, --job-deadline
-/// duration ("90", "250ms", "5m"), --max-attempts, --kernel slot|event,
-/// --intra-threads) into a ComparisonConfig
-/// and announces the engine setup on stderr. `--kernel event` selects the
-/// event-driven simulation kernel for every job, fault-active ones
-/// included (crashes ride the jump loop via geometric-skip draws); the
-/// default `slot` keeps harness stdout byte-identical to previous
-/// releases. `--intra-threads` (0 = off, the default; -1 = auto; N = N
-/// threads) turns on meeting-level parallelism *inside* each trial
-/// (docs/engine.md "Thread budget precedence"): auto is resolved here
-/// against the Runner's trial fan-out via engine::resolve_intra_threads,
-/// so a Runner already using every core resolves to 1 rather than
-/// oversubscribing, and the simulator receives a concrete count. Results
-/// are bit-identical for every setting.
+/// duration ("90", "250ms", "5m"), --max-attempts, --kernel slot|event)
+/// into a ComparisonConfig and announces the engine setup on stderr.
+/// `--kernel event` selects the event-driven simulation kernel for every
+/// job, fault-active ones included (crashes ride the jump loop via
+/// geometric-skip draws); the default `slot` keeps harness stdout
+/// byte-identical to previous releases.
 void apply_engine_flags(const util::Flags& flags, ComparisonConfig& config,
                         std::uint64_t root_seed);
 
@@ -339,19 +332,9 @@ inline void apply_engine_flags(const util::Flags& flags,
     throw std::invalid_argument("--kernel must be 'slot' or 'event', got '" +
                                 kernel + "'");
   }
-  // Intra-run meeting parallelism: auto (-1) must account for the cores
-  // the Runner's trial fan-out already claims, so it is resolved here —
-  // the one place that knows both knobs — and the simulator gets a
-  // concrete thread count.
-  const unsigned outer_threads =
-      engine::ThreadPool::resolve_threads(config.threads);
-  const int intra_requested = flags.get_int("intra-threads", 0);
-  const unsigned intra_resolved =
-      engine::resolve_intra_threads(intra_requested, outer_threads);
-  config.sim.meeting_parallelism = static_cast<int>(intra_resolved);
   // stderr, so tables on stdout stay byte-identical across thread counts.
-  std::cerr << "[engine] threads=" << outer_threads
-            << " intra-threads=" << intra_resolved
+  std::cerr << "[engine] threads="
+            << engine::ThreadPool::resolve_threads(config.threads)
             << " root-seed=" << root_seed
             << " kernel=" << core::kernel_name(config.sim.kernel);
   if (config.job_deadline_seconds > 0.0) {

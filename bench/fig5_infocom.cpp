@@ -10,7 +10,6 @@
 
 #include "common.hpp"
 #include "impatience/trace/parsers.hpp"
-#include "impatience/trace/partition.hpp"
 #include "impatience/utility/families.hpp"
 
 using namespace impatience;
@@ -51,15 +50,6 @@ int main(int argc, char** argv) {
             << contact_trace.duration() << " slots, "
             << contact_trace.size() << " contacts, inter-contact CV "
             << trace::inter_contact_cv(contact_trace) << '\n';
-  // Slot concurrency profile: how much meeting-level parallelism
-  // (--intra-threads, docs/perf.md §5) this trace exposes.
-  const trace::SlotConflictStats conflict =
-      contact_trace.slot_conflict_stats();
-  std::cout << "slot concurrency: mean " << conflict.mean_slot_meetings
-            << " / max " << conflict.max_slot_meetings
-            << " meetings per active slot, max wave depth "
-            << conflict.max_wave_depth << ", mean wave width "
-            << conflict.mean_wave_width << '\n';
 
   const auto catalog = core::Catalog::pareto(
       static_cast<core::ItemId>(flags.get_int("items", 50)), 1.0,
@@ -154,19 +144,7 @@ int main(int argc, char** argv) {
                                {"demand", std::to_string(total_demand)},
                                {"seed", std::to_string(seed)},
                                {"kernel",
-                                core::kernel_name(config.sim.kernel)},
-                               {"intra_threads",
-                                std::to_string(config.sim.meeting_parallelism)},
-                               {"mean_slot_meetings",
-                                std::to_string(conflict.mean_slot_meetings)},
-                               {"max_slot_meetings",
-                                std::to_string(conflict.max_slot_meetings)},
-                               {"max_distinct_nodes",
-                                std::to_string(conflict.max_distinct_nodes)},
-                               {"max_wave_depth",
-                                std::to_string(conflict.max_wave_depth)},
-                               {"mean_wave_width",
-                                std::to_string(conflict.mean_wave_width)}});
+                                core::kernel_name(config.sim.kernel)}});
 
   std::cout << "expected shape (paper): DOM and PROP gain strength vs the\n"
                "homogeneous case; SQRT no longer the clear winner; QCR stays "

@@ -13,7 +13,6 @@
 #include "impatience/core/mean_field.hpp"
 #include "impatience/trace/event_source.hpp"
 #include "impatience/trace/generators.hpp"
-#include "impatience/trace/partition.hpp"
 #include "impatience/util/math.hpp"
 #include "impatience/utility/cached_transform.hpp"
 #include "impatience/utility/discrete.hpp"
@@ -579,120 +578,6 @@ void BM_QcrWelfareProbeIncremental(benchmark::State& state) {
   run_welfare_probe_bench(state, true);
 }
 BENCHMARK(BM_QcrWelfareProbeIncremental);
-
-// Intra-run meeting parallelism (SimOptions::meeting_parallelism,
-// docs/perf.md §5) on a heavy-demand fig5-like instance: the Infocom-like
-// conference population (98 nodes, dense slots) with the 500-item catalog
-// and a request rate high enough that pending lists reach hundreds of
-// entries. That regime puts the run's cost where the parallel path can
-// reach it — the per-meeting O(pending x rho) fulfilment scans, planned
-// across threads — while the sequential commits stay cheap (fixed UNI
-// placement: no mandate work, and the compaction shifts unmatched runs
-// as blocks). Intra1 exercises the plan/commit walk without a pool, so
-// Intra8/Intra1 isolates the parallel gain from the split's own cost.
-// Caveat: the ratio is only meaningful on a multi-core host. On a
-// single-core machine (google_benchmark prints the CPU count in the run
-// context) the IntraN entries necessarily record the fork/join barrier
-// overhead of N-way oversubscription, not a speedup — see
-// docs/perf.md §5.
-struct IntraInstance {
-  core::Scenario scenario;
-  alloc::Placement placement;
-};
-
-const IntraInstance& intra_instance() {
-  static const IntraInstance inst = [] {
-    util::Rng rng(2029);
-    trace::InfocomLikeParams params;
-    params.num_nodes = kFig5Nodes;
-    params.days = 1;
-    auto contact_trace = trace::generate_infocom_like(params, rng);
-    auto scenario = core::make_scenario(
-        std::move(contact_trace),
-        core::Catalog::pareto(kFig5Items, 1.0, 40.0), kFig5Capacity);
-    util::Rng prng = rng.split();
-    const auto competitors = core::build_competitors(
-        scenario, utility::StepUtility(400.0), core::OptMode::kHomogeneous,
-        prng);
-    // competitors[1] is UNI: utility-independent, cheap to build.
-    return IntraInstance{std::move(scenario), competitors[1].placement};
-  }();
-  return inst;
-}
-
-void run_intra_bench(benchmark::State& state, int meeting_parallelism) {
-  const auto& g = intra_instance();
-  const utility::StepUtility u(400.0);
-  util::Rng rng(12);
-  core::SimOptions sim;
-  sim.meeting_parallelism = meeting_parallelism;
-  for (auto _ : state) {
-    util::Rng r = rng.split();
-    benchmark::DoNotOptimize(
-        core::run_fixed(g.scenario, u, "UNI", g.placement, sim, r));
-  }
-  state.SetItemsProcessed(state.iterations() * g.scenario.trace.duration());
-}
-
-void BM_SimulateFig5Intra1(benchmark::State& state) {
-  run_intra_bench(state, 1);
-}
-BENCHMARK(BM_SimulateFig5Intra1)->Unit(benchmark::kMillisecond);
-
-void BM_SimulateFig5Intra4(benchmark::State& state) {
-  run_intra_bench(state, 4);
-}
-BENCHMARK(BM_SimulateFig5Intra4)->Unit(benchmark::kMillisecond);
-
-void BM_SimulateFig5Intra8(benchmark::State& state) {
-  run_intra_bench(state, 8);
-  // Acceptance check (untimed): the parallel path must reproduce the
-  // bit-locked sequential walk exactly, thread count notwithstanding.
-  const auto& g = intra_instance();
-  const utility::StepUtility u(400.0);
-  core::SimulationResult results[2];
-  for (int k = 0; k < 2; ++k) {
-    core::SimOptions sim;
-    sim.meeting_parallelism = k == 0 ? 0 : 8;
-    util::Rng r(77);
-    results[k] = core::run_fixed(g.scenario, u, "UNI", g.placement, sim, r);
-  }
-  const auto& a = results[0];
-  const auto& b = results[1];
-  if (a.total_gain != b.total_gain || a.fulfillments != b.fulfillments ||
-      a.mean_delay != b.mean_delay ||
-      a.mean_query_count != b.mean_query_count ||
-      a.requests_created != b.requests_created ||
-      a.censored_requests != b.censored_requests ||
-      a.final_counts != b.final_counts) {
-    state.SkipWithError("parallel meeting path diverged from sequential");
-  }
-}
-BENCHMARK(BM_SimulateFig5Intra8)->Unit(benchmark::kMillisecond);
-
-// The conflict scheduler alone on the intra instance's densest slot: the
-// O(batch) wave/commit-run schedule every parallel meeting batch pays
-// before planning.
-void BM_PartitionSlot(benchmark::State& state) {
-  const auto& g = intra_instance();
-  const auto& tr = g.scenario.trace;
-  std::span<const trace::ContactEvent> densest;
-  for (trace::Slot s = 0; s < tr.duration(); ++s) {
-    const auto events = tr.slot_events(s);
-    if (events.size() > densest.size()) densest = events;
-  }
-  trace::WavePartitioner partitioner(tr.num_nodes());
-  std::vector<std::uint32_t> order;
-  std::vector<std::size_t> wave_ends;
-  std::vector<std::size_t> commit_ends;
-  for (auto _ : state) {
-    partitioner.schedule(densest, order, wave_ends, commit_ends);
-    benchmark::DoNotOptimize(order.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(densest.size()));
-}
-BENCHMARK(BM_PartitionSlot);
 
 // Fig4-at-scale pair (docs/perf.md §6): one welfare evaluation of the
 // same N = 500 homogeneous scenario, as a full event-kernel trial vs the

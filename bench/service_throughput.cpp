@@ -59,37 +59,6 @@ void BM_ServiceThroughput(benchmark::State& state) {
 BENCHMARK(BM_ServiceThroughput)->Arg(50)->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
-// Sharded parallel apply pipeline (docs/service.md "Sharded parallel
-// apply"): same stream, pre-framed into IngestLines and pushed through
-// apply_batch with 8 shards and Arg worker threads. Output is
-// byte-identical to BM_ServiceThroughput by contract; the delta here is
-// wall-clock only. On a single-core container the extra threads are
-// pure scheduling overhead — read the numbers with docs/perf.md §7's
-// caveat in mind.
-void BM_ServiceThroughputSharded(benchmark::State& state) {
-  const std::uint32_t nodes = 200;
-  const auto events = bench_stream(nodes, 4000, 17);
-  std::vector<service::IngestLine> lines;
-  lines.reserve(events.size());
-  for (const service::Event& event : events) {
-    lines.push_back({false, event});
-  }
-  service::ApplyOptions options;
-  options.shards = 8;
-  options.threads = static_cast<unsigned>(state.range(0));
-  options.window = 256;
-  std::uint64_t version = 0;
-  for (auto _ : state) {
-    service::StateStore store(bench_config(nodes), 11, options);
-    version = store.apply_batch(lines);
-    benchmark::DoNotOptimize(version);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(lines.size()));
-}
-BENCHMARK(BM_ServiceThroughputSharded)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 // Copy-on-read image + line serialization: the cost the snapshot thread
 // pays while the ingest path keeps running.
 void BM_ServiceSnapshot(benchmark::State& state) {

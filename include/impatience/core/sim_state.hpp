@@ -3,10 +3,9 @@
 // One run's mutable counters — per-(node, item) pending-request counts,
 // the Section-5.1 query-counter clocks, and the global per-item replica
 // counts — live here as flat contiguous arrays; `Node` binds raw views
-// into the rows it owns (node.hpp). The layout serves the intra-run
-// parallel meeting path (docs/perf.md §5): the negotiation phase of a
-// node-disjoint wave reads disjoint rows of one contiguous block
-// instead of chasing per-Node heap vectors, and the replica-count array
+// into the rows it owns (node.hpp). The meeting scans read rows of one
+// contiguous block instead of chasing per-Node heap vectors
+// (docs/perf.md §5), and the replica-count array
 // is the span handed to ReplicationPolicy::on_initialized, the
 // expected-welfare functor and the MarginalOracle welfare fold.
 //

@@ -134,23 +134,6 @@ struct SimOptions {
   /// When cancelled, simulate() throws util::CancelledError — the
   /// engine's deadline watchdog maps it to ErrorKind::timeout.
   const util::CancellationToken* cancel = nullptr;
-  /// Intra-run meeting-level parallelism (docs/perf.md §5). 0 (default):
-  /// off — the meetings of a slot run through the fused sequential walk,
-  /// the bit-locked reference. N >= 1: each slot's meeting batch is
-  /// conflict-scheduled into node-disjoint antichain waves interleaved
-  /// with trace-order commit runs (trace/partition.hpp); each wave's
-  /// read-only fulfilment scans are planned on N threads (N - 1 fork-
-  /// join workers plus the caller), then the commit run executes
-  /// sequentially in exact trace order, so results are bit-identical to
-  /// 0 for every N. -1:
-  /// auto — engine::resolve_intra_threads against hardware_concurrency
-  /// (callers already fanning out trials should resolve it themselves
-  /// against their outer pool and pass a concrete N; bench/common.hpp
-  /// --intra-threads does). Identity contract: guaranteed for the
-  /// built-in policies; a custom policy whose on_fulfillment hook
-  /// mutates caches (none of the built-ins do — they only touch
-  /// mandates) would invalidate the precomputed match sets.
-  int meeting_parallelism = 0;
 };
 
 /// Runs one simulation trial with per-item delay-utilities h_i. The delay
@@ -192,8 +175,7 @@ SimulationResult simulate(const trace::ContactTrace& trace,
 /// Bit-identity: a GeneratedSource seeded like the generator run (or a
 /// MaterializedSource over the generated trace, or a PagedTraceReader
 /// over its file) produces results bit-identical to the materialized
-/// overloads for the same simulation rng, kernel, fault config and
-/// meeting_parallelism.
+/// overloads for the same simulation rng, kernel and fault config.
 SimulationResult simulate(trace::EventSource& source, const Catalog& catalog,
                           const utility::UtilitySet& utilities,
                           ReplicationPolicy& policy,

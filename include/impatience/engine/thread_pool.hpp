@@ -2,19 +2,11 @@
 // threads. No work stealing — jobs are coarse (whole simulation trials),
 // so a single shared queue is contention-free in practice and keeps each
 // worker's cache hot on its own simulation state.
-//
-// ForkJoinTeam is the fine-grained sibling: a fixed team that runs the
-// same job on every member with spin-then-park synchronization, for
-// microsecond-scale waves where the task queue's condvar roundtrip
-// (tens of microseconds of thread wakeups per batch) would cost more
-// than the work being fanned out.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -64,56 +56,5 @@ class ThreadPool {
   std::size_t busy_ = 0;              ///< workers currently running a task
   bool stop_ = false;
 };
-
-/// Fork-join team for microsecond-scale parallel sections. run(job)
-/// executes job(tid) on every member — tid 0 on the calling thread,
-/// tids 1..num_workers on the team's threads — and returns once all
-/// have finished. Workers spin briefly between runs before parking on a
-/// condvar, so back-to-back waves (the simulator's per-slot plan
-/// phases) synchronize in under a microsecond while idle stretches
-/// (request generation, metrics, non-meeting slots) cost no CPU.
-///
-/// The job must not throw (wrap work that can throw — the simulator's
-/// meeting runner captures into an exception slot and rethrows on the
-/// caller). All writes made by job(i) are visible to the caller when
-/// run() returns.
-class ForkJoinTeam {
- public:
-  /// Spawns `num_workers` team threads (callers with a team of 0 should
-  /// just run the job inline; the constructor requires >= 1).
-  explicit ForkJoinTeam(unsigned num_workers);
-  ~ForkJoinTeam();
-
-  ForkJoinTeam(const ForkJoinTeam&) = delete;
-  ForkJoinTeam& operator=(const ForkJoinTeam&) = delete;
-
-  unsigned num_workers() const noexcept {
-    return static_cast<unsigned>(workers_.size());
-  }
-
-  /// Runs job(0) on this thread and job(1..num_workers) on the team,
-  /// then blocks until every member has returned.
-  void run(const std::function<void(unsigned)>& job);
-
- private:
-  void worker_loop(unsigned tid);
-
-  std::vector<std::thread> workers_;
-  const std::function<void(unsigned)>* job_ = nullptr;  // set before epoch_
-  std::atomic<std::uint64_t> epoch_{0};  ///< bumped to publish a run
-  std::atomic<unsigned> done_{0};        ///< workers finished this run
-  std::atomic<bool> stop_{false};
-  std::mutex mu_;               ///< guards parking only
-  std::condition_variable cv_;  ///< wakes parked workers
-};
-
-/// Resolves a SimOptions::meeting_parallelism request against the number
-/// of threads already fanned out at the trial level (`outer_threads`,
-/// e.g. the Runner's pool size). Intra-run parallelism only pays when
-/// cores are left over, so `auto` (< 0) yields 1 — i.e. the sequential
-/// plan/commit walk, no pool — whenever the outer fan-out already covers
-/// the machine, and hardware_concurrency / outer_threads otherwise.
-/// 0 stays 0 (intra parallelism off); explicit requests pass through.
-unsigned resolve_intra_threads(int requested, unsigned outer_threads) noexcept;
 
 }  // namespace impatience::engine

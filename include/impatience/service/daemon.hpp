@@ -140,10 +140,6 @@ struct DaemonConfig {
   /// the previous consistent file survives thanks to atomic rename).
   bool restore = false;
 
-  /// Apply-pipeline knobs (docs/service.md "Sharded parallel apply").
-  /// The default is the sequential path; any setting is byte-identical.
-  ApplyOptions apply;
-
   /// Persist incremental snapshot chains (base + delta files + manifest,
   /// docs/service.md "Delta snapshots") instead of rewriting the full
   /// image at `snapshot_path` on every checkpoint.

@@ -36,15 +36,17 @@
 #include "impatience/core/node.hpp"
 #include "impatience/core/policy.hpp"
 #include "impatience/fault/fault.hpp"
-#include "impatience/service/apply_plan.hpp"
 #include "impatience/service/protocol.hpp"
 #include "impatience/utility/delay_utility.hpp"
 
-namespace impatience::engine {
-class ForkJoinTeam;  // thread_pool.hpp
-}
-
 namespace impatience::service {
+
+/// One classified countable line of the ingest stream. Malformed lines
+/// occupy a sequence slot (the seq-cursor contract) but carry no event.
+struct IngestLine {
+  bool malformed = false;
+  Event event;
+};
 
 /// Scenario parameters of a store; persisted into snapshots and verified
 /// on restore (a snapshot from a different scenario is refused).
@@ -182,13 +184,11 @@ void apply_delta(StateImage& image, const StateDelta& delta);
 class StateStore {
  public:
   /// Fresh store: seeded sticky pins + random cache fill, version 0.
-  /// `options` selects the apply pipeline (default: sequential).
-  StateStore(const StoreConfig& config, std::uint64_t seed,
-             const ApplyOptions& options = {});
+  StateStore(const StoreConfig& config, std::uint64_t seed);
   /// Warm restart: rebuilds the exact state of `image` (config must
   /// match `config`; throws std::invalid_argument otherwise).
   StateStore(const StoreConfig& config, std::uint64_t seed,
-             const StateImage& image, const ApplyOptions& options = {});
+             const StateImage& image);
   ~StateStore();
 
   StateStore(const StateStore&) = delete;
@@ -213,16 +213,11 @@ class StateStore {
   /// events_malformed. Returns the store version after the line.
   std::uint64_t apply_malformed();
 
-  /// Applies a window of countable lines through the conflict-aware
-  /// pipeline (docs/service.md "Sharded parallel apply"): the window is
-  /// scheduled into shard-disjoint plan waves, contact matches are
-  /// planned concurrently across the ForkJoinTeam, and every line
-  /// commits in strict seq order — byte-identical to calling apply /
-  /// apply_malformed per line, for any shards/threads/window setting.
-  /// Returns the store version after the last line.
+  /// Applies a run of countable lines in order under one lock acquisition
+  /// — byte-identical to calling apply / apply_malformed per line, for
+  /// any split of the stream into batches. Returns the store version
+  /// after the last line.
   std::uint64_t apply_batch(std::span<const IngestLine> lines);
-
-  const ApplyOptions& apply_options() const noexcept { return options_; }
 
   /// Copy-on-read snapshot of the whole logical state.
   StateImage image() const;
@@ -262,37 +257,18 @@ class StateStore {
                                              const std::string& path);
 
  private:
-  /// Per-contact plan: matched pending indices for each fulfil
-  /// direction, recorded read-only during the plan phase. Delay, gain
-  /// and query counts are deliberately NOT planned — they depend on the
-  /// live clock and meeting counters at commit time.
-  struct ContactPlan {
-    bool planned = false;
-    std::vector<std::uint32_t> ab;  ///< a's pending indices b fulfils
-    std::vector<std::uint32_t> ba;  ///< b's pending indices a fulfils
-  };
-
   void init_fresh();
   void init_from_image(const StateImage& image);
   void attach_listeners();
   void bump_locked(std::uint64_t n = 1);
   void apply_line_locked(const IngestLine& line);
   void apply_event_locked(const Event& event, util::Rng& rng);
-  void apply_window_locked(std::span<const IngestLine> lines);
-  void plan_line(const IngestLine& line, ContactPlan& plan) const;
-  void plan_direction(const core::Node& requester,
-                      const core::Node& provider,
-                      std::vector<std::uint32_t>& matches) const;
-  void commit_line_locked(const IngestLine& line, const ContactPlan& plan);
   void apply_clock(Slot slot);
   void apply_contact(NodeId a, NodeId b, util::Rng& rng);
   void apply_request(NodeId node, ItemId item, util::Rng& rng);
   void apply_crash(NodeId node);
   void fulfil_from(core::Node& requester, core::Node& provider,
                    util::Rng& rng);
-  void fulfil_planned(core::Node& requester, core::Node& provider,
-                      const std::vector<std::uint32_t>& matches,
-                      util::Rng& rng);
   void fulfil_one(core::Node& requester, core::Node& provider,
                   core::PendingRequest& req, util::Rng& rng);
   void sync_policy_counters_locked();
@@ -305,13 +281,8 @@ class StateStore {
 
   const StoreConfig config_;
   const std::uint64_t seed_;
-  const ApplyOptions options_;
   std::unique_ptr<utility::DelayUtility> utility_;
   std::unique_ptr<core::QcrPolicy> policy_;
-  /// Plan-phase team (threads - 1 workers; job(0) runs on the ingest
-  /// thread). Null when the pipeline is sequential.
-  std::unique_ptr<engine::ForkJoinTeam> team_;
-  std::unique_ptr<ShardWaveScheduler> scheduler_;
 
   mutable std::mutex mu_;
   std::vector<core::Node> nodes_;
@@ -337,12 +308,6 @@ class StateStore {
   /// Dirty-since-last-checkpoint tracking for delta snapshots.
   std::vector<std::uint8_t> dirty_;
   std::vector<NodeId> dirty_list_;
-
-  /// Scheduler/plan scratch reused across windows.
-  std::vector<std::uint32_t> order_;
-  std::vector<std::size_t> wave_ends_;
-  std::vector<std::size_t> commit_ends_;
-  std::vector<ContactPlan> plans_;
 };
 
 }  // namespace impatience::service

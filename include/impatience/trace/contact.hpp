@@ -33,8 +33,6 @@ struct PairContacts {
   friend bool operator==(const PairContacts&, const PairContacts&) = default;
 };
 
-struct SlotConflictStats;
-
 /// An immutable, slot-sorted contact trace over nodes [0, num_nodes).
 class ContactTrace {
  public:
@@ -80,13 +78,6 @@ class ContactTrace {
   /// Total contacts between the given (unordered) pair. O(log P) lookup
   /// in the pair_counts() index.
   std::size_t pair_count(NodeId a, NodeId b) const;
-
-  /// Available intra-slot parallelism: per-slot meeting counts, distinct
-  /// nodes, and the wave depth of the greedy node-disjoint prefix
-  /// partition the parallel meeting path uses (trace/partition.hpp).
-  /// One O(events) pass; benches report it per trace family so manifest
-  /// readers can tell where SimOptions::meeting_parallelism pays off.
-  SlotConflictStats slot_conflict_stats() const;
 
  private:
   NodeId num_nodes_;

@@ -84,7 +84,7 @@ bin_build_type() {
 print(json.load(sys.stdin)["context"].get("impatience_build_type", "unknown"))'
 }
 
-FILTER='BM_(MarginalGainNaive|MarginalOracle|LazyGreedyFig5Oracle|LazyGreedyFig5Naive|LossTransformTabulated|LossTransformCached|DemandSampleLinear|DemandSampleAlias|SimulateFig6Slot|SimulateFig6Event|SimulateFig3FaultySlot|SimulateFig3FaultyEvent|SimulateFig5Intra1|SimulateFig5Intra4|SimulateFig5Intra8|PartitionSlot|QcrWelfareProbeScratch|QcrWelfareProbeIncremental|SimulateFig4Event500|MeanFieldFig4|MaterializedTrace|StreamingTrace|ServiceThroughput|ServiceSnapshot|SnapshotDelta|ServiceMetricsScrape|FeederThroughput)'
+FILTER='BM_(MarginalGainNaive|MarginalOracle|LazyGreedyFig5Oracle|LazyGreedyFig5Naive|LossTransformTabulated|LossTransformCached|DemandSampleLinear|DemandSampleAlias|SimulateFig6Slot|SimulateFig6Event|SimulateFig3FaultySlot|SimulateFig3FaultyEvent|QcrWelfareProbeScratch|QcrWelfareProbeIncremental|SimulateFig4Event500|MeanFieldFig4|MaterializedTrace|StreamingTrace|ServiceThroughput|ServiceSnapshot|SnapshotDelta|ServiceMetricsScrape|FeederThroughput)'
 
 if [[ "$CHECK" == 1 ]]; then
   # Smoke subset: skip the end-to-end greedy benches (the naive baseline
@@ -156,9 +156,8 @@ if build_type(old) != "Release" or build_type(new) != "Release":
     sys.exit(0)
 
 # Medians, not means: the capture container's throughput swings by tens
-# of percent between repetitions (single shared CPU; see the num_cpus:1
-# caveat in docs/perf.md §5), and one slow repetition drags a mean past
-# any sane threshold while the median shrugs it off.
+# of percent between repetitions (shared host), and one slow repetition
+# drags a mean past any sane threshold while the median shrugs it off.
 def medians(snapshot):
     return {b["name"]: b["real_time"] for b in snapshot["benchmarks"]
             if b["name"].endswith("_median")}

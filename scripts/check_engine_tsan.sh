@@ -9,12 +9,8 @@
 # or their thread-safety assumptions — the lazy-refresh MarginalOracle
 # and the welfare-probe listeners run inside engine-parallel trials, and
 # the daemon's ingest/monitor/snapshot threads share the versioned state
-# store, so they belong in this sweep too. core_meeting_parallel_test's
-# dense-slot stress is the dedicated TSan target for the intra-run
-# parallel meeting path (plan waves on the pool, commits on the main
-# thread; docs/perf.md §5). trace_streaming_test drives that parallel
-# walk from streaming EventSources (the bounded look-ahead window), and
-# core_mean_field_test rides along under the same `sim` label.
+# store, so they belong in this sweep too. trace_streaming_test and
+# core_mean_field_test ride along under the same `sim` label.
 #
 # Equivalent presets flow (CMake >= 3.21):
 #   cmake --preset tsan && cmake --build --preset tsan -j \
@@ -31,11 +27,10 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
   engine_seeding_test engine_thread_pool_test engine_runner_test \
   engine_artifacts_test engine_sim_parallel_test engine_retry_test \
   fault_plan_test fault_sim_test core_kernel_equivalence_test \
-  core_meeting_parallel_test core_mean_field_test trace_streaming_test \
+  core_mean_field_test trace_streaming_test \
   alloc_oracle_test utility_cached_transform_test core_simulator_test \
   service_protocol_test service_state_store_test service_daemon_test \
-  service_feeder_test service_ingest_fuzz_test \
-  service_sharded_store_test service_snapshot_delta_test \
+  service_feeder_test service_ingest_fuzz_test service_snapshot_delta_test \
   replicationd replfeed
 ctest --test-dir "$BUILD_DIR" -L "(engine|fault|sim|perf|service)" \
   --output-on-failure -j"$(nproc)"

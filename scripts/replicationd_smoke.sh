@@ -11,9 +11,8 @@
 #   tail of the stream, and require the final snapshot to be byte-identical
 #   to an uninterrupted reference run (docs/service.md).
 #
-#   Phase 3 — the PR 10 surfaces end to end: TCP ingest, the sharded
-#   parallel apply pipeline, and the incremental delta chain. Boot with
-#   --tcp/--shards/--snapshot-deltas, SIGKILL mid-run at a delta
+#   Phase 3 — TCP ingest and the incremental delta chain end to end.
+#   Boot with --tcp/--snapshot-deltas, SIGKILL mid-run at a delta
 #   checkpoint, --restore from the base+delta chain, feed the tail, and
 #   require the finalized base to be byte-identical to the same
 #   uninterrupted reference run as phase 2.
@@ -181,14 +180,13 @@ cmp "$WORK/reference.snap" "$WORK/phase2.snap" \
   || { echo "FAIL: warm restart diverged from uninterrupted run"; exit 1; }
 echo "phase 2 OK: SIGKILL + --restore is byte-identical to the reference"
 
-echo "== phase 3: TCP + sharded apply + delta chain, SIGKILL, --restore =="
+echo "== phase 3: TCP + delta chain, SIGKILL, --restore =="
 chain_seq() {  # seq the committed manifest's last element ends at
   awk '$1 == "base" || $1 == "delta" { seq = $4 } END { print seq + 0 }' \
       "$WORK/phase3.snap.manifest" 2>/dev/null || echo 0
 }
 "$BIN" "${SCENARIO[@]}" \
     --tcp 0 --port -1 --announce "$WORK/announce3.txt" \
-    --shards 8 --apply-threads 2 --apply-window 64 \
     --snapshot "$WORK/phase3.snap" --snapshot-every 200 \
     --snapshot-deltas true --snapshot-delta-limit 16 \
     2> "$WORK/phase3.log" &
@@ -219,7 +217,6 @@ echo "killed at chain seq=$SEQ ($DELTA_COUNT deltas); restoring from the chain"
 grep -v '^\s*\(#\|$\)' "$WORK/stream_noquit.txt" | tail -n "+$((SEQ + 1))" \
   > "$WORK/tail3.txt"
 "$BIN" "${SCENARIO[@]}" --input "$WORK/tail3.txt" --port -1 \
-    --shards 8 --apply-threads 2 --apply-window 64 \
     --snapshot "$WORK/phase3.snap" --snapshot-deltas true --restore \
     2> "$WORK/restore3.log"
 grep -q "(restored)" "$WORK/restore3.log" \
@@ -233,6 +230,6 @@ FINAL_DELTAS="$(awk '$1 == "delta"' "$WORK/phase3.snap.manifest" | wc -l)"
   || { echo "FAIL: finalize left $FINAL_DELTAS deltas in the chain"; exit 1; }
 cmp "$WORK/reference.snap" "$WORK/phase3.snap.base.$FINAL_SEQ" \
   || { echo "FAIL: chain restore diverged from uninterrupted run"; exit 1; }
-echo "phase 3 OK: TCP + shards + delta chain is byte-identical to the reference"
+echo "phase 3 OK: TCP + delta chain is byte-identical to the reference"
 
 echo "replicationd_smoke: all phases passed"

@@ -48,55 +48,6 @@ void process_meeting(SimState& state, Node& a, Node& b);
 /// — the "negotiated items" a truncated exchange cuts a prefix of.
 long count_fulfillable(const Node& a, const Node& b);
 
-/// The read-only half of one meeting, precomputed so a node-disjoint wave
-/// of meetings can be planned on worker threads (trace/partition.hpp).
-/// Splitting process_meeting into plan + commit is bit-identical to the
-/// fused walk because the plan holds everything the expensive scan
-/// produces — matched pending indices, delays and utility gains — while
-/// every mutation and every RNG draw (policy hooks, clock ticks, budget
-/// accounting) happens at commit, in exact trace order. Match vectors are
-/// reused across meetings; clear() keeps their capacity.
-struct MeetingPlan {
-  struct Match {
-    std::uint32_t pending_index;  ///< index into the requester's pending()
-    double delay;                 ///< (now - created) + 1, the Lemma-1 form
-    double gain;                  ///< utilities[item].value(delay)
-  };
-  struct Direction {
-    bool tick = false;  ///< requester is a client meeting a server
-    std::vector<Match> matches;
-  };
-  Direction ab;  ///< a as requester, b as provider
-  Direction ba;  ///< b as requester, a as provider
-
-  /// Matched requests across both directions == count_fulfillable(a, b),
-  /// the negotiated volume a truncated exchange cuts a prefix of.
-  long total_matches() const noexcept {
-    return static_cast<long>(ab.matches.size()) +
-           static_cast<long>(ba.matches.size());
-  }
-  void clear() noexcept {
-    ab.tick = ba.tick = false;
-    ab.matches.clear();
-    ba.matches.clear();
-  }
-};
-
-/// Fills `plan` from the current state without mutating anything. Safe to
-/// run concurrently for meetings that share no node: it reads only the
-/// two nodes' pending lists / caches plus the shared immutable utilities,
-/// and state.now (constant within a slot batch).
-void plan_meeting(const SimState& state, const Node& a, const Node& b,
-                  MeetingPlan& plan);
-
-/// Applies a plan: clock ticks, pending-list compaction honoring
-/// state.transfer_budget, gain/metrics accounting, policy hooks. Must run
-/// on the simulation thread against the exact state the plan was computed
-/// from (guaranteed inside a node-disjoint wave). Equivalent to
-/// process_meeting(state, a, b) step for step.
-void commit_meeting(SimState& state, Node& a, Node& b,
-                    const MeetingPlan& plan);
-
 /// Records one observed gain, through the batcher when one is installed.
 inline void record_gain(SimState& state, double time, double value) noexcept {
   if (state.observed_batch) {

@@ -1,18 +1,12 @@
 #include <algorithm>
-#include <exception>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <numeric>
-#include <optional>
 #include <queue>
 #include <span>
 #include <stdexcept>
 
 #include "impatience/core/sim_state.hpp"
 #include "impatience/core/simulator.hpp"
-#include "impatience/engine/thread_pool.hpp"
-#include "impatience/trace/partition.hpp"
 #include "impatience/util/alias.hpp"
 #include "sim_internal.hpp"
 
@@ -108,133 +102,6 @@ struct CacheSubscriber {
   std::vector<int>* counts = nullptr;
   alloc::MarginalOracle* probe = nullptr;  // may be null
   NodeId server_index = 0;                 // oracle server row
-};
-
-/// The parallel meeting path (SimOptions::meeting_parallelism >= 1).
-/// Each meeting batch is conflict-scheduled into node-disjoint antichain
-/// waves interleaved with trace-order commit runs (WavePartitioner::
-/// schedule): a wave's read-only plans fan out over `threads` (the
-/// caller plus threads - 1 ForkJoinTeam workers), then the next commit
-/// run executes on the caller's thread in exact trace order — which
-/// keeps every RNG draw in the sequential order, so results are
-/// bit-identical to the fused walk for any thread count. The schedule
-/// guarantees every planned meeting's earlier conflicting meetings have
-/// already committed, so plans read exactly the state the fused walk
-/// would have seen; workers only ever run between commit runs, so plans
-/// read a quiescent state and commits race with nothing.
-class MeetingBatchRunner {
- public:
-  MeetingBatchRunner(detail::SimState& state, NodeId num_nodes,
-                     unsigned threads)
-      : state_(state), partitioner_(num_nodes), threads_(threads) {
-    if (threads_ > 1) {
-      team_.emplace(threads_ - 1);
-      plan_job_ = [this](unsigned tid) { plan_chunk(tid); };
-    }
-  }
-
-  /// Processes one meeting batch; with `faults`, draws the per-meeting
-  /// truncation decisions at commit exactly as the fused faulty loop
-  /// does (the plan's match total is the negotiated volume).
-  void run(std::span<const trace::ContactEvent> batch,
-           fault::FaultPlan* faults) {
-    partitioner_.schedule(batch, order_, wave_ends_, commit_ends_);
-    if (plans_.size() < batch.size()) plans_.resize(batch.size());
-    std::size_t wave_begin = 0;
-    std::size_t cursor = 0;
-    for (std::size_t w = 0; w < wave_ends_.size(); ++w) {
-      plan_wave(batch, wave_begin, wave_ends_[w]);
-      commit_run(batch, cursor, commit_ends_[w], faults);
-      wave_begin = wave_ends_[w];
-      cursor = commit_ends_[w];
-    }
-  }
-
- private:
-  /// Below this wave size the fork-join barrier costs more than the
-  /// plans; plan inline instead. Only affects speed — results are
-  /// identical either way.
-  static constexpr std::size_t kInlineWave = 4;
-
-  void plan_one(std::span<const trace::ContactEvent> batch,
-                std::size_t k) {
-    const trace::ContactEvent& e = batch[k];
-    detail::plan_meeting(state_, state_.nodes[e.a], state_.nodes[e.b],
-                         plans_[k]);
-  }
-
-  /// Team member `tid`'s share of the current wave: a contiguous stripe
-  /// of order_[wave_begin_, wave_end_).
-  void plan_chunk(unsigned tid) {
-    const std::size_t n = wave_end_ - wave_begin_;
-    const std::size_t per = (n + threads_ - 1) / threads_;
-    const std::size_t lo = wave_begin_ + tid * per;
-    const std::size_t hi = std::min(wave_end_, lo + per);
-    try {
-      for (std::size_t k = lo; k < hi; ++k) {
-        plan_one(batch_, order_[k]);
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu_);
-      if (!error_) error_ = std::current_exception();
-    }
-  }
-
-  void plan_wave(std::span<const trace::ContactEvent> batch,
-                 std::size_t begin, std::size_t end) {
-    if (!team_ || end - begin < kInlineWave) {
-      for (std::size_t k = begin; k < end; ++k) {
-        plan_one(batch, order_[k]);
-      }
-      return;
-    }
-    batch_ = batch;
-    wave_begin_ = begin;
-    wave_end_ = end;
-    team_->run(plan_job_);
-    if (error_) {
-      std::exception_ptr error = error_;
-      error_ = nullptr;
-      std::rethrow_exception(error);
-    }
-  }
-
-  void commit_run(std::span<const trace::ContactEvent> batch,
-                  std::size_t begin, std::size_t end,
-                  fault::FaultPlan* faults) {
-    for (std::size_t k = begin; k < end; ++k) {
-      const trace::ContactEvent& e = batch[k];
-      const detail::MeetingPlan& plan = plans_[k];
-      if (faults && faults->should_truncate()) {
-        const long negotiated = plan.total_matches();
-        if (negotiated > 0) {
-          state_.transfer_budget = faults->truncation_prefix(negotiated);
-          faults->counters().fulfilments_deferred +=
-              static_cast<std::uint64_t>(negotiated -
-                                         state_.transfer_budget);
-        }
-      }
-      detail::commit_meeting(state_, state_.nodes[e.a], state_.nodes[e.b],
-                             plan);
-      state_.transfer_budget = -1;
-    }
-  }
-
-  detail::SimState& state_;
-  trace::WavePartitioner partitioner_;
-  unsigned threads_;
-  std::optional<engine::ForkJoinTeam> team_;
-  std::function<void(unsigned)> plan_job_;
-  std::vector<std::uint32_t> order_;       // meetings grouped by wave
-  std::vector<std::size_t> wave_ends_;
-  std::vector<std::size_t> commit_ends_;
-  std::vector<detail::MeetingPlan> plans_;
-  // Current wave, published to the team by ForkJoinTeam::run's barrier.
-  std::span<const trace::ContactEvent> batch_;
-  std::size_t wave_begin_ = 0;
-  std::size_t wave_end_ = 0;
-  std::mutex error_mu_;
-  std::exception_ptr error_;  // first planner failure, rethrown on main
 };
 
 /// Kernel body shared by the materialized and streaming entry points.
@@ -433,17 +300,6 @@ SimulationResult simulate_impl(trace::EventSource& feed,
     delivery.reserve(2 * feed.max_slot_events_hint());
   }
 
-  // Intra-run meeting-level parallelism (docs/perf.md §5): >= 1 switches
-  // every meeting batch to the plan/commit path, bit-identical to the
-  // fused walk; 0 keeps the fused walk itself (the bit-locked default —
-  // same results either way, but the reference code path stays live).
-  const unsigned intra_threads =
-      engine::resolve_intra_threads(options.meeting_parallelism, 1);
-  std::optional<MeetingBatchRunner> meeting_runner;
-  if (intra_threads >= 1) {
-    meeting_runner.emplace(state, num_nodes, intra_threads);
-  }
-
   // Policies that track global state seed themselves from the initial
   // allocation (e.g. HillClimbPolicy).
   policy.on_initialized(std::span<const int>(counts));
@@ -515,11 +371,6 @@ SimulationResult simulate_impl(trace::EventSource& feed,
         }
         if (delivery.size() >= 2 && fault_plan.reorder_slot()) {
           fault_plan.shuffle_delivery(delivery);
-        }
-        if (meeting_runner) {
-          meeting_runner->run(
-              std::span<const trace::ContactEvent>(delivery), &fault_plan);
-          return;
         }
         for (const trace::ContactEvent& e : delivery) {
           if (fault_plan.should_truncate()) {
@@ -689,13 +540,9 @@ SimulationResult simulate_impl(trace::EventSource& feed,
         std::span<const trace::ContactEvent> meetings;
         if (next_meeting == event_slot) meetings = feed.take_batch();
         if (!faults_on) {
-          if (meeting_runner && !meetings.empty()) {
-            meeting_runner->run(meetings, nullptr);
-          } else {
-            for (const trace::ContactEvent& e : meetings) {
-              detail::process_meeting(state, state.nodes[e.a],
-                                      state.nodes[e.b]);
-            }
+          for (const trace::ContactEvent& e : meetings) {
+            detail::process_meeting(state, state.nodes[e.a],
+                                    state.nodes[e.b]);
           }
         } else if (!meetings.empty()) {
           process_faulty_meetings(event_slot, meetings);
@@ -764,13 +611,8 @@ SimulationResult simulate_impl(trace::EventSource& feed,
       std::span<const trace::ContactEvent> meetings;
       if (feed.next_slot() == slot) meetings = feed.take_batch();
       if (!fault_plan.active()) {
-        if (meeting_runner) {
-          meeting_runner->run(meetings, nullptr);
-        } else {
-          for (const trace::ContactEvent& e : meetings) {
-            detail::process_meeting(state, state.nodes[e.a],
-                                    state.nodes[e.b]);
-          }
+        for (const trace::ContactEvent& e : meetings) {
+          detail::process_meeting(state, state.nodes[e.a], state.nodes[e.b]);
         }
       } else {
         process_faulty_meetings(slot, meetings);

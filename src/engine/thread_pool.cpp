@@ -45,90 +45,6 @@ unsigned ThreadPool::resolve_threads(int requested) noexcept {
   return hw >= 1 ? hw : 1u;
 }
 
-ForkJoinTeam::ForkJoinTeam(unsigned num_workers) {
-  if (num_workers < 1) num_workers = 1;
-  workers_.reserve(num_workers);
-  for (unsigned i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i + 1); });
-  }
-}
-
-ForkJoinTeam::~ForkJoinTeam() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_release);
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ForkJoinTeam::run(const std::function<void(unsigned)>& job) {
-  job_ = &job;
-  done_.store(0, std::memory_order_relaxed);
-  // The release bump publishes job_ (and everything the caller wrote
-  // before run()) to workers, which acquire-load epoch_.
-  epoch_.fetch_add(1, std::memory_order_release);
-  // The empty critical section orders the bump before any worker can
-  // fall asleep: a worker deciding to park holds mu_ while re-checking
-  // epoch_, so it either sees the bump or sleeps before this lock —
-  // and then the notify reaches it. (A lock-free "anyone parked?" flag
-  // here would be a store-buffering race — the classic lost wakeup.)
-  { std::lock_guard<std::mutex> lock(mu_); }
-  cv_.notify_all();
-  job(0);
-  // Join: worker shares are the same size as ours, so they finish at
-  // about the same time — spin on the done counter instead of taking a
-  // condvar roundtrip, yielding only once the hot spin runs long.
-  const unsigned team = num_workers();
-  int spins = 0;
-  while (done_.load(std::memory_order_acquire) != team) {
-    if (++spins >= 4096) std::this_thread::yield();
-  }
-}
-
-void ForkJoinTeam::worker_loop(unsigned tid) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    // Await the next run: spin briefly (back-to-back waves arrive within
-    // microseconds), then park.
-    int spins = 0;
-    for (;;) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      const std::uint64_t e = epoch_.load(std::memory_order_acquire);
-      if (e != seen) {
-        seen = e;
-        break;
-      }
-      ++spins;
-      if (spins < 4096) continue;  // hot spin on the epoch cacheline
-      if (spins < 8192) {          // polite spin before parking
-        std::this_thread::yield();
-        continue;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
-        return stop_.load(std::memory_order_acquire) ||
-               epoch_.load(std::memory_order_acquire) != seen;
-      });
-      spins = 0;
-    }
-    (*job_)(tid);
-    // Release pairs with the caller's acquire in run(): our writes are
-    // visible before it proceeds to the commit pass.
-    done_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-unsigned resolve_intra_threads(int requested,
-                               unsigned outer_threads) noexcept {
-  if (requested == 0) return 0;
-  if (requested > 0) return static_cast<unsigned>(requested);
-  const unsigned hw = ThreadPool::resolve_threads(-1);
-  if (outer_threads < 1) outer_threads = 1;
-  if (outer_threads >= hw) return 1;  // oversubscribed already
-  return hw / outer_threads;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

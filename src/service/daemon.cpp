@@ -358,11 +358,10 @@ ReplicationDaemon::ReplicationDaemon(const DaemonConfig& config)
     // file.
     store_ = std::make_unique<StateStore>(
         config_.store, config_.seed,
-        SnapshotChain::restore_image(config_.snapshot_path), config_.apply);
+        SnapshotChain::restore_image(config_.snapshot_path));
     restored_ = true;
   } else {
-    store_ = std::make_unique<StateStore>(config_.store, config_.seed,
-                                          config_.apply);
+    store_ = std::make_unique<StateStore>(config_.store, config_.seed);
   }
   if (config_.snapshot_deltas && !config_.snapshot_path.empty()) {
     chain_ = std::make_unique<SnapshotChain>(SnapshotChain::Options{
@@ -448,21 +447,22 @@ void ReplicationDaemon::run(const util::CancellationToken* token) {
     });
   }
 
-  // Countable lines are batched so the sharded pipeline sees windows
-  // worth planning: the batch grows while the source has more buffered
-  // (never waiting for input), flushes through apply_batch — which is
-  // byte-identical to per-line apply for any batch split — and is forced
-  // down at every point the per-line loop would observe the store:
-  // hello replies (the seq cursor), by-sequence snapshot boundaries, and
-  // end of stream.
+  // Countable lines are batched so the store lock is taken once per run
+  // of buffered lines rather than once per line: the batch grows while
+  // the source has more buffered (never waiting for input), flushes
+  // through apply_batch — which is byte-identical to per-line apply for
+  // any batch split — and is forced down at every point the per-line
+  // loop would observe the store: hello replies (the seq cursor),
+  // by-sequence snapshot boundaries, and end of stream.
+  constexpr std::size_t kBatchCap = 256;
   std::vector<IngestLine> batch;
-  const std::size_t batch_cap = std::max<std::size_t>(config_.apply.window, 1);
   const auto flush = [&] {
     if (batch.empty()) return;
     const auto t0 = Clock::now();
     store_->apply_batch(batch);
-    // One sample per line, so latency percentiles stay comparable with
-    // the per-line path: the batch's wall time amortized over its lines.
+    // One sample per flushed batch, not per line: the batch's wall time
+    // divided by its line count (a batch mean, which hides per-line
+    // tail latency).
     metrics_.record_apply_latency(1e6 * seconds_since(t0, Clock::now()) /
                                   static_cast<double>(batch.size()));
     batch.clear();
@@ -495,7 +495,7 @@ void ReplicationDaemon::run(const util::CancellationToken* token) {
     const bool boundary =
         config_.snapshot_every > 0 &&
         (store_->seq() + batch.size()) % config_.snapshot_every == 0;
-    if (boundary || batch.size() >= batch_cap ||
+    if (boundary || batch.size() >= kBatchCap ||
         !source_->has_buffered_line()) {
       flush();
       if (boundary) snapshot_now();

@@ -10,7 +10,6 @@
 
 #include "impatience/engine/artifacts.hpp"
 #include "impatience/engine/seeding.hpp"
-#include "impatience/engine/thread_pool.hpp"
 #include "impatience/stats/percentile.hpp"
 #include "impatience/util/errors.hpp"
 #include "impatience/utility/factory.hpp"
@@ -61,18 +60,9 @@ void StoreConfig::validate() const {
   }
 }
 
-StateStore::StateStore(const StoreConfig& config, std::uint64_t seed,
-                       const ApplyOptions& options)
-    : config_(config), seed_(seed), options_(options) {
+StateStore::StateStore(const StoreConfig& config, std::uint64_t seed)
+    : config_(config), seed_(seed) {
   config_.validate();
-  options_.validate();
-  if (options_.parallel()) {
-    // The scheduler and team exist only when the pipeline engages; the
-    // sequential path never pays for them.
-    scheduler_ = std::make_unique<ShardWaveScheduler>(config_.num_nodes,
-                                                      options_.shards);
-    team_ = std::make_unique<engine::ForkJoinTeam>(options_.threads - 1);
-  }
   utility_ = utility::make_utility(config_.utility_spec);
   // Same stabilizers as core::run_qcr: clamp the counter at |S|, cap one
   // fulfilment's burst at rho, bound any node's backlog by the global
@@ -93,8 +83,8 @@ StateStore::StateStore(const StoreConfig& config, std::uint64_t seed,
 }
 
 StateStore::StateStore(const StoreConfig& config, std::uint64_t seed,
-                       const StateImage& image, const ApplyOptions& options)
-    : StateStore(config, seed, options) {
+                       const StateImage& image)
+    : StateStore(config, seed) {
   if (!config_equal(config_, image.config)) {
     throw std::invalid_argument(
         "StateStore: snapshot config does not match this scenario");
@@ -258,16 +248,7 @@ void StateStore::bump_locked(std::uint64_t n) {
 
 std::uint64_t StateStore::apply(const Event& event) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++seq_;
-  // Every event draws from its own child stream, a pure function of
-  // (seed, seq): replaying the stream tail after a warm restart consumes
-  // identical randomness, making restore + replay bit-equal to an
-  // uninterrupted run.
-  util::Rng rng(engine::child_seed(seed_, "service-apply", seq_));
-  apply_event_locked(event, rng);
-  counters_.events_applied = seq_;
-  sync_policy_counters_locked();
-  bump_locked();
+  apply_line_locked({false, event});
   return version_;
 }
 
@@ -305,10 +286,17 @@ void StateStore::apply_event_locked(const Event& event, util::Rng& rng) {
 }
 
 void StateStore::apply_line_locked(const IngestLine& line) {
+  // Malformed countable lines advance seq like any other: the seq cursor
+  // must be an exact position into the stream's countable lines, or a
+  // reconnecting feeder could not resume from it (docs/service.md).
   ++seq_;
   if (line.malformed) {
     ++counters_.events_malformed;
   } else {
+    // Every event draws from its own child stream, a pure function of
+    // (seed, seq): replaying the stream tail after a warm restart
+    // consumes identical randomness, making restore + replay bit-equal
+    // to an uninterrupted run.
     util::Rng rng(engine::child_seed(seed_, "service-apply", seq_));
     apply_event_locked(line.event, rng);
   }
@@ -319,116 +307,8 @@ void StateStore::apply_line_locked(const IngestLine& line) {
 
 std::uint64_t StateStore::apply_batch(std::span<const IngestLine> lines) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!options_.parallel() || lines.size() < 2) {
-    for (const IngestLine& line : lines) apply_line_locked(line);
-    return version_;
-  }
-  for (std::size_t begin = 0; begin < lines.size();
-       begin += options_.window) {
-    apply_window_locked(lines.subspan(
-        begin, std::min(options_.window, lines.size() - begin)));
-  }
+  for (const IngestLine& line : lines) apply_line_locked(line);
   return version_;
-}
-
-void StateStore::apply_window_locked(std::span<const IngestLine> lines) {
-  // Schedule the window into shard-disjoint plan waves; commits walk
-  // the window in original order, advancing exactly as far as the
-  // planned waves cover (trace::WavePartitioner's run protocol — see
-  // apply_plan.hpp for the correctness argument).
-  scheduler_->schedule(lines, config_.num_nodes, order_, wave_ends_,
-                       commit_ends_);
-  plans_.resize(std::max(plans_.size(), lines.size()));
-  const unsigned width = team_->num_workers() + 1;
-  std::size_t wave_begin = 0;
-  std::size_t committed = 0;
-  for (std::size_t k = 0; k < wave_ends_.size(); ++k) {
-    const std::size_t wave_end = wave_ends_[k];
-    const std::size_t count = wave_end - wave_begin;
-    if (count > 1) {
-      // Strided fan-out: worker t plans order_[wave_begin + t, +width,
-      // ...]. Plans only read node state; the barrier inside run()
-      // orders them against the commits below.
-      team_->run([&, wave_begin, wave_end](unsigned tid) {
-        for (std::size_t j = wave_begin + tid; j < wave_end; j += width) {
-          const std::uint32_t i = order_[j];
-          plan_line(lines[i], plans_[i]);
-        }
-      });
-    } else if (count == 1) {
-      const std::uint32_t i = order_[wave_begin];
-      plan_line(lines[i], plans_[i]);
-    }
-    for (; committed < commit_ends_[k]; ++committed) {
-      commit_line_locked(lines[committed], plans_[committed]);
-    }
-    wave_begin = wave_end;
-  }
-}
-
-void StateStore::plan_line(const IngestLine& line, ContactPlan& plan) const {
-  plan.planned = false;
-  if (line.malformed) return;
-  const Event& e = line.event;
-  if (e.kind != Event::Kind::contact || e.a >= config_.num_nodes ||
-      e.b >= config_.num_nodes || e.a == e.b) {
-    // Only contacts carry plannable work (the O(rho * pending) match
-    // scan); requests and crashes are O(capacity) at commit.
-    return;
-  }
-  plan.planned = true;
-  plan_direction(nodes_[e.a], nodes_[e.b], plan.ab);
-  plan_direction(nodes_[e.b], nodes_[e.a], plan.ba);
-}
-
-void StateStore::plan_direction(const core::Node& requester,
-                                const core::Node& provider,
-                                std::vector<std::uint32_t>& matches) const {
-  // Read-only twin of fulfil_from's match scan: same O(rho) prefilter,
-  // then the pending indices the provider can serve. Valid at commit
-  // time because no line between plan and commit touches these shards
-  // (direction 1's commit mutates only the requester's mandates and
-  // pending — never the provider cache or the other direction's list).
-  matches.clear();
-  if (requester.pending().empty()) return;
-  bool any_match = false;
-  for (ItemId item : provider.cache().items()) {
-    if (requester.has_pending(item)) {
-      any_match = true;
-      break;
-    }
-  }
-  if (!any_match) return;
-  const auto& pending = requester.pending();
-  for (std::size_t k = 0; k < pending.size(); ++k) {
-    if (provider.holds(pending[k].item)) {
-      matches.push_back(static_cast<std::uint32_t>(k));
-    }
-  }
-}
-
-void StateStore::commit_line_locked(const IngestLine& line,
-                                    const ContactPlan& plan) {
-  ++seq_;
-  if (line.malformed) {
-    ++counters_.events_malformed;
-  } else if (plan.planned) {
-    util::Rng rng(engine::child_seed(seed_, "service-apply", seq_));
-    ++counters_.contacts;
-    core::Node& na = nodes_[line.event.a];
-    core::Node& nb = nodes_[line.event.b];
-    mark_dirty_locked(line.event.a);
-    mark_dirty_locked(line.event.b);
-    fulfil_planned(na, nb, plan.ab, rng);
-    fulfil_planned(nb, na, plan.ba, rng);
-    policy_->on_meeting_complete(na, nb, rng);
-  } else {
-    util::Rng rng(engine::child_seed(seed_, "service-apply", seq_));
-    apply_event_locked(line.event, rng);
-  }
-  counters_.events_applied = seq_;
-  sync_policy_counters_locked();
-  bump_locked();
 }
 
 void StateStore::apply_clock(Slot slot) {
@@ -510,30 +390,6 @@ void StateStore::fulfil_from(core::Node& requester, core::Node& provider,
   pending.resize(kept);
 }
 
-void StateStore::fulfil_planned(core::Node& requester, core::Node& provider,
-                                const std::vector<std::uint32_t>& matches,
-                                util::Rng& rng) {
-  // Commit half of the planned direction: the plan already decided
-  // *which* pending indices the provider serves (bit-equal to
-  // fulfil_from's holds() scan, since no committed line since the plan
-  // touched either shard); delay/gain/queries are evaluated here against
-  // the live clock and meeting counters, like the sequential path.
-  requester.note_server_meeting();
-  if (matches.empty()) return;
-  auto& pending = requester.pending();
-  std::size_t m = 0;
-  std::size_t kept = 0;
-  for (std::size_t k = 0; k < pending.size(); ++k) {
-    if (m < matches.size() && matches[m] == k) {
-      ++m;
-      fulfil_one(requester, provider, pending[k], rng);
-    } else {
-      pending[kept++] = pending[k];
-    }
-  }
-  pending.resize(kept);
-}
-
 void StateStore::fulfil_one(core::Node& requester, core::Node& provider,
                             core::PendingRequest& req, util::Rng& rng) {
   const double delay = static_cast<double>(clock_ - req.created) + 1.0;
@@ -554,7 +410,7 @@ void StateStore::sync_policy_counters_locked() {
   counters_.replicas_written =
       replicas_written_base_ + policy_->replicas_written();
   // mandates_outstanding is NOT summed here: the O(nodes) sweep per
-  // event would dominate the sharded pipeline. Read paths call
+  // event would dominate apply. Read paths call
   // refresh_outstanding_locked() instead — externally observable
   // counters are unchanged.
 }
@@ -584,13 +440,7 @@ void StateStore::record_delay_locked(double delay) {
 
 std::uint64_t StateStore::apply_malformed() {
   std::lock_guard<std::mutex> lock(mu_);
-  // Malformed countable lines advance seq like any other: the seq cursor
-  // must be an exact position into the stream's countable lines, or a
-  // reconnecting feeder could not resume from it (docs/service.md).
-  ++seq_;
-  ++counters_.events_malformed;
-  counters_.events_applied = seq_;
-  bump_locked();
+  apply_line_locked({true, Event{}});
   return version_;
 }
 

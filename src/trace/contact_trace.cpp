@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "impatience/trace/contact.hpp"
-#include "impatience/trace/partition.hpp"
 
 namespace impatience::trace {
 
@@ -96,56 +95,6 @@ ContactTrace ContactTrace::slice(Slot from, Slot to) const {
     sub.push_back({events_[k].slot - from, events_[k].a, events_[k].b});
   }
   return ContactTrace(num_nodes_, to - from, std::move(sub));
-}
-
-SlotConflictStats ContactTrace::slot_conflict_stats() const {
-  SlotConflictStats stats;
-  if (events_.empty()) return stats;
-  WavePartitioner partitioner(num_nodes_);
-  std::vector<std::uint32_t> order;
-  std::vector<std::size_t> ends;
-  std::vector<std::size_t> commit_ends;
-  std::vector<char> seen(num_nodes_, 0);
-  std::vector<NodeId> touched;
-  std::size_t total_waves = 0;
-  std::size_t begin = 0;
-  while (begin < events_.size()) {
-    const Slot slot = events_[begin].slot;
-    std::size_t end = begin;
-    while (end < events_.size() && events_[end].slot == slot) ++end;
-    const std::size_t meetings = end - begin;
-
-    touched.clear();
-    for (std::size_t k = begin; k < end; ++k) {
-      for (NodeId n : {events_[k].a, events_[k].b}) {
-        if (!seen[n]) {
-          seen[n] = 1;
-          touched.push_back(n);
-        }
-      }
-    }
-    for (NodeId n : touched) seen[n] = 0;
-
-    partitioner.schedule(
-        std::span<const ContactEvent>(events_.data() + begin, meetings),
-        order, ends, commit_ends);
-
-    ++stats.active_slots;
-    stats.max_slot_meetings = std::max(stats.max_slot_meetings, meetings);
-    stats.mean_slot_meetings += static_cast<double>(meetings);
-    stats.max_distinct_nodes =
-        std::max(stats.max_distinct_nodes, touched.size());
-    stats.max_wave_depth = std::max(stats.max_wave_depth, ends.size());
-    stats.mean_wave_depth += static_cast<double>(ends.size());
-    total_waves += ends.size();
-    begin = end;
-  }
-  const auto slots = static_cast<double>(stats.active_slots);
-  stats.mean_slot_meetings /= slots;
-  stats.mean_wave_depth /= slots;
-  stats.mean_wave_width =
-      static_cast<double>(events_.size()) / static_cast<double>(total_waves);
-  return stats;
 }
 
 std::size_t ContactTrace::pair_count(NodeId a, NodeId b) const {

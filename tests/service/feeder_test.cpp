@@ -197,6 +197,49 @@ TEST(Replfeed, EngagedZeroChaosShimIsBitIdenticalToNoShim) {
   EXPECT_EQ(images[0], images[1]);
 }
 
+TEST(Replfeed, ChaosTcpMatchesCleanUnixRun) {
+  // Transport lock: the same stream through (a) a daemon on a Unix socket
+  // with no chaos and (b) a daemon on TCP behind the chaos shim must
+  // serialize identically.
+  TempPath stream("replfeed_tcp_chaos_stream");
+  write_stream_file(stream.path(), 600, 77, 0.01);
+
+  std::string images[2];
+  for (int variant = 0; variant < 2; ++variant) {
+    TempPath socket("replfeed_tcp_chaos_sock");
+    DaemonConfig dconfig;
+    dconfig.store = small_config();
+    dconfig.seed = 77;
+    dconfig.http_port = -1;
+    if (variant == 0) {
+      dconfig.socket_path = socket.path();
+    } else {
+      dconfig.tcp_port = 0;  // ephemeral
+    }
+    ReplicationDaemon daemon(dconfig);
+    std::thread runner([&] { daemon.run(nullptr); });
+
+    FeederConfig fconfig;
+    if (variant == 0) {
+      fconfig.socket_path = socket.path();
+    } else {
+      fconfig.tcp_port = static_cast<int>(daemon.tcp_port());
+      fconfig.chaos.p_reset = 0.02;
+      fconfig.chaos.p_partial = 0.02;
+      fconfig.chaos.p_garbage = 0.01;
+      fconfig.chaos.seed = 5;
+    }
+    fconfig.input_path = stream.path();
+    fconfig.seed = 9;
+    const FeederReport report = StreamFeeder(fconfig).run();
+    EXPECT_TRUE(report.complete);
+    daemon.stop();
+    runner.join();
+    images[variant] = image_text(daemon.store());
+  }
+  EXPECT_EQ(images[0], images[1]);
+}
+
 TEST(Replfeed, ChaosScheduleAndCountersAreSeedDeterministic) {
   TempPath stream("replfeed_chaos_det_stream");
   const std::uint64_t total = write_stream_file(stream.path(), 250, 23);

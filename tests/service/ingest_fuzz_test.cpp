@@ -188,10 +188,7 @@ void run_and_check(const std::vector<std::string>& conns,
   if (transport == Transport::unix_socket) {
     config.socket_path = socket.path();
   } else {
-    config.tcp_port = 0;  // ephemeral; exercise the sharded pipeline too
-    config.apply.shards = 4;
-    config.apply.threads = 2;
-    config.apply.window = 16;
+    config.tcp_port = 0;  // ephemeral
   }
   config.http_port = -1;
   ReplicationDaemon daemon(config);

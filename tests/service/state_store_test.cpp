@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "impatience/util/errors.hpp"
 
@@ -162,6 +165,51 @@ TEST(ServiceStateStore, WarmRestartIsStateIdentical) {
 
   EXPECT_EQ(serialized(uninterrupted), serialized(resumed));
   EXPECT_TRUE(resumed.mandate_conservation_ok());
+}
+
+// The daemon batches ingest lines through apply_batch; a batch boundary
+// must not be a semantic boundary. Ragged splits, malformed lines and a
+// snapshot/restore cut mid-stream all land on the per-line bytes.
+TEST(ServiceStateStore, ApplyBatchMatchesPerLineApply) {
+  std::vector<IngestLine> lines;
+  for (const Event& event : workload(1500, 12, 0.01)) {
+    lines.push_back({false, event});
+    if (lines.size() % 17 == 0) lines.push_back({true, Event{}});
+  }
+  // Out-of-range events count malformed inside a batch too.
+  lines.insert(lines.begin() + 5, {false, {Event::Kind::contact, 0, 99, 1, 0}});
+  lines.insert(lines.begin() + 60, {false, {Event::Kind::crash, 0, 99, 0, 0}});
+
+  StateStore reference(small_config(), 8);
+  for (const IngestLine& line : lines) {
+    if (line.malformed) {
+      reference.apply_malformed();
+    } else {
+      reference.apply(line.event);
+    }
+  }
+  const std::string want = serialized(reference);
+
+  const std::span<const IngestLine> all(lines);
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{7}, std::size_t{256}}) {
+    StateStore store(small_config(), 8);
+    for (std::size_t begin = 0; begin < all.size(); begin += chunk) {
+      store.apply_batch(
+          all.subspan(begin, std::min(chunk, all.size() - begin)));
+    }
+    EXPECT_EQ(serialized(store), want) << "chunk=" << chunk;
+  }
+
+  const std::size_t cut = lines.size() / 3;
+  StateStore first(small_config(), 8);
+  first.apply_batch(all.subspan(0, cut));
+  std::ostringstream snap;
+  write_image(snap, first.image());
+  std::istringstream in(snap.str());
+  StateStore resumed(small_config(), 8, read_image(in));
+  resumed.apply_batch(all.subspan(cut));
+  EXPECT_EQ(serialized(resumed), want);
 }
 
 // SIGKILL mid-snapshot leaves `<path>.tmp` garbage while the atomic

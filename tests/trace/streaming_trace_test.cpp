@@ -284,34 +284,30 @@ TEST(StreamingSimulation, BitIdenticalAcrossSourcesKernelsAndFaults) {
   for (const auto kernel :
        {core::SimKernel::slot_stepped, core::SimKernel::event_driven}) {
     for (const bool faults : {false, true}) {
-      for (const int intra : {0, 2}) {
-        core::SimOptions options;
-        options.cache_capacity = 3;
-        options.kernel = kernel;
-        options.meeting_parallelism = intra;
-        if (faults) {
-          options.faults.p_drop = 0.05;
-          options.faults.p_crash = 0.001;
-          options.faults.p_truncate = 0.1;
-          options.faults.seed = 4242;
-        }
-        const std::string what =
-            std::string(core::kernel_name(kernel)) +
-            (faults ? "+faults" : "") + "+intra" + std::to_string(intra);
-        const auto reference = run_materialized(tr, options, 999);
-
-        MaterializedSource materialized(tr);
-        expect_bit_identical(run_streamed(materialized, options, 999),
-                             reference, (what + "/materialized").c_str());
-
-        GeneratedSource generated(params, util::Rng(808));
-        expect_bit_identical(run_streamed(generated, options, 999),
-                             reference, (what + "/generated").c_str());
-
-        PagedTraceReader paged(path);
-        expect_bit_identical(run_streamed(paged, options, 999), reference,
-                             (what + "/paged").c_str());
+      core::SimOptions options;
+      options.cache_capacity = 3;
+      options.kernel = kernel;
+      if (faults) {
+        options.faults.p_drop = 0.05;
+        options.faults.p_crash = 0.001;
+        options.faults.p_truncate = 0.1;
+        options.faults.seed = 4242;
       }
+      const std::string what =
+          std::string(core::kernel_name(kernel)) + (faults ? "+faults" : "");
+      const auto reference = run_materialized(tr, options, 999);
+
+      MaterializedSource materialized(tr);
+      expect_bit_identical(run_streamed(materialized, options, 999),
+                           reference, (what + "/materialized").c_str());
+
+      GeneratedSource generated(params, util::Rng(808));
+      expect_bit_identical(run_streamed(generated, options, 999), reference,
+                           (what + "/generated").c_str());
+
+      PagedTraceReader paged(path);
+      expect_bit_identical(run_streamed(paged, options, 999), reference,
+                           (what + "/paged").c_str());
     }
   }
   std::remove(path.c_str());
