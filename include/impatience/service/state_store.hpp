@@ -7,6 +7,13 @@
 //    `core::MandateBag` + pending-request lists, driven online by a
 //    `core::QcrPolicy` — and applies protocol events (contacts, requests,
 //    crashes, clock advances) one at a time under the store mutex.
+//  * A contact runs `core::process_meeting`, the same Section 6.1 meeting
+//    protocol both simulator kernels run; the store only adds its own
+//    accounting through the fulfilment sink. The differential test
+//    (tests/service/meeting_differential_test.cpp) checks the two
+//    consumers against each other. Every node is a client and a server,
+//    so own-cache hits happen: the store refuses utilities with
+//    unbounded h(0+), which cannot value a zero-delay fulfilment.
 //  * `version()` increments on every state mutation (event application,
 //    plus one tick per cache replica written or evicted, via the cache
 //    change listeners). Monitors read it lock-free via the atomic
@@ -37,7 +44,7 @@
 #include "impatience/core/policy.hpp"
 #include "impatience/fault/fault.hpp"
 #include "impatience/service/protocol.hpp"
-#include "impatience/utility/delay_utility.hpp"
+#include "impatience/utility/utility_set.hpp"
 
 namespace impatience::service {
 
@@ -265,23 +272,23 @@ class StateStore {
   void apply_event_locked(const Event& event, util::Rng& rng);
   void apply_clock(Slot slot);
   void apply_contact(NodeId a, NodeId b, util::Rng& rng);
-  void apply_request(NodeId node, ItemId item, util::Rng& rng);
+  void apply_request(NodeId node, ItemId item);
   void apply_crash(NodeId node);
-  void fulfil_from(core::Node& requester, core::Node& provider,
-                   util::Rng& rng);
-  void fulfil_one(core::Node& requester, core::Node& provider,
-                  core::PendingRequest& req, util::Rng& rng);
   void sync_policy_counters_locked();
   void refresh_outstanding_locked() const;
   void record_delay_locked(double delay);
   void mark_dirty_locked(NodeId node);
   StateImage::NodeImage node_image_locked(NodeId node) const;
+  StateImage image_locked() const;
 
   static void cache_listener(void* context, ItemId item, int delta);
+  static void fulfillment_sink(void* context, ItemId item, NodeId client,
+                               double delay, double gain, long queries);
 
   const StoreConfig config_;
   const std::uint64_t seed_;
-  std::unique_ptr<utility::DelayUtility> utility_;
+  /// The config's utility for every item, the form process_meeting takes.
+  const utility::UtilitySet utilities_;
   std::unique_ptr<core::QcrPolicy> policy_;
 
   mutable std::mutex mu_;

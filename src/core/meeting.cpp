@@ -1,14 +1,14 @@
+#include "impatience/core/meeting.hpp"
+
 #include <cstddef>
 
-#include "sim_internal.hpp"
-
-namespace impatience::core::detail {
+namespace impatience::core {
 
 namespace {
 
 /// Queries the partner (query-counter increments), then fulfils every
-/// pending request the partner can serve. Returns the gains recorded.
-void fulfil_from(SimState& state, Node& requester, Node& provider) {
+/// pending request the partner can serve.
+void fulfil_from(MeetingContext& context, Node& requester, Node& provider) {
   if (!requester.is_client()) return;
   // A non-server partner can neither be queried nor fulfil anything.
   if (!provider.is_server()) return;
@@ -38,24 +38,18 @@ void fulfil_from(SimState& state, Node& requester, Node& provider) {
   std::size_t kept = 0;
   for (std::size_t k = 0; k < pending.size(); ++k) {
     PendingRequest& req = pending[k];
-    if (provider.holds(req.item) && state.transfer_budget != 0) {
-      if (state.transfer_budget > 0) --state.transfer_budget;
+    if (provider.holds(req.item) && context.transfer_budget != 0) {
+      if (context.transfer_budget > 0) --context.transfer_budget;
       const double delay =
-          static_cast<double>(state.now - req.created) + 1.0;
-      const double gain = (*state.utilities)[req.item].value(delay);
+          static_cast<double>(context.now - req.created) + 1.0;
+      const double gain = (*context.utilities)[req.item].value(delay);
       const long queries =
           requester.server_meetings() - req.queries_at_creation;
-      state.total_gain += gain;
-      record_gain(state, static_cast<double>(state.now), gain);
-      if (state.on_fulfillment && *state.on_fulfillment) {
-        (*state.on_fulfillment)(req.item, requester.id(), delay, gain);
-      }
-      ++state.fulfillments;
-      state.delay_sum += delay;
-      state.query_sum += static_cast<double>(queries);
+      context.sink(context.sink_context, req.item, requester.id(), delay,
+                   gain, queries);
       requester.note_fulfilled(req.item);
-      state.policy->on_fulfillment(requester, provider, req.item, queries,
-                                   *state.rng);
+      context.policy->on_fulfillment(requester, provider, req.item, queries,
+                                     *context.rng);
     } else {
       pending[kept++] = req;
     }
@@ -79,10 +73,10 @@ long count_fulfillable(const Node& a, const Node& b) {
   return count_fulfillable_from(a, b) + count_fulfillable_from(b, a);
 }
 
-void process_meeting(SimState& state, Node& a, Node& b) {
-  fulfil_from(state, a, b);
-  fulfil_from(state, b, a);
-  state.policy->on_meeting_complete(a, b, *state.rng);
+void process_meeting(MeetingContext& context, Node& a, Node& b) {
+  fulfil_from(context, a, b);
+  fulfil_from(context, b, a);
+  context.policy->on_meeting_complete(a, b, *context.rng);
 }
 
-}  // namespace impatience::core::detail
+}  // namespace impatience::core

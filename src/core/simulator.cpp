@@ -5,10 +5,11 @@
 #include <span>
 #include <stdexcept>
 
+#include "impatience/core/meeting.hpp"
 #include "impatience/core/sim_state.hpp"
 #include "impatience/core/simulator.hpp"
+#include "impatience/stats/timeseries.hpp"
 #include "impatience/util/alias.hpp"
-#include "sim_internal.hpp"
 
 namespace impatience::core {
 
@@ -104,6 +105,50 @@ struct CacheSubscriber {
   NodeId server_index = 0;                 // oracle server row
 };
 
+/// Per-run simulator state: the population, the meeting context both
+/// kernels pass to core::process_meeting, and the run's accounting.
+struct SimState {
+  std::vector<Node> nodes;  // indexed by trace NodeId
+  MeetingContext meeting;
+
+  double total_gain = 0.0;
+  stats::BinnedSeries* observed = nullptr;
+  /// When set (event kernel), gains are accumulated per bin and folded
+  /// into `observed` one batch at a time instead of per fulfilment; the
+  /// kernel flushes it before reading the series. The slot-stepped
+  /// kernel leaves it null so its per-fulfilment adds stay bit-locked.
+  stats::BinnedSeries::Batcher* observed_batch = nullptr;
+  const std::function<void(ItemId, NodeId, double, double)>* on_fulfillment =
+      nullptr;
+  std::uint64_t fulfillments = 0;
+  double delay_sum = 0.0;
+  double query_sum = 0.0;
+};
+
+/// Records one observed gain, through the batcher when one is installed.
+void record_gain(SimState& state, double time, double value) noexcept {
+  if (state.observed_batch) {
+    state.observed_batch->add(time, value);
+  } else {
+    state.observed->add(time, value);
+  }
+}
+
+/// The simulator's fulfilment sink: gain sum, observed series, the
+/// on_fulfillment hook, then the per-run delay and query means.
+void account_fulfillment(void* context, ItemId item, NodeId client,
+                         double delay, double gain, long queries) {
+  auto& state = *static_cast<SimState*>(context);
+  state.total_gain += gain;
+  record_gain(state, static_cast<double>(state.meeting.now), gain);
+  if (state.on_fulfillment && *state.on_fulfillment) {
+    (*state.on_fulfillment)(item, client, delay, gain);
+  }
+  ++state.fulfillments;
+  state.delay_sum += delay;
+  state.query_sum += static_cast<double>(queries);
+}
+
 /// Kernel body shared by the materialized and streaming entry points.
 /// Both kernels pull meeting batches from `feed` one slot at a time —
 /// the bounded look-ahead window — so the materialized ContactTrace
@@ -149,7 +194,7 @@ SimulationResult simulate_impl(trace::EventSource& feed,
   // global replica counts live in SimulationState's flat arrays; nodes
   // are thin views into them (the SoA constructor).
   SimulationState soa(num_nodes, num_items);
-  detail::SimState state;
+  SimState state;
   state.nodes.reserve(num_nodes);
   for (NodeId n = 0; n < num_nodes; ++n) {
     state.nodes.emplace_back(soa, n, num_items, options.cache_capacity,
@@ -269,9 +314,11 @@ SimulationResult simulate_impl(trace::EventSource& feed,
   stats::BinnedSeries observed(options.metrics.bin_width,
                                static_cast<double>(duration));
 
-  state.utilities = &utilities;
-  state.policy = &policy;
-  state.rng = &rng;
+  state.meeting.utilities = &utilities;
+  state.meeting.policy = &policy;
+  state.meeting.rng = &rng;
+  state.meeting.sink = &account_fulfillment;
+  state.meeting.sink_context = &state;
   state.observed = &observed;
   state.on_fulfillment = &options.on_fulfillment;
 
@@ -320,7 +367,7 @@ SimulationResult simulate_impl(trace::EventSource& feed,
       }
       const double gain = utilities[item].value_at_zero();
       state.total_gain += gain;
-      detail::record_gain(state, static_cast<double>(slot), gain);
+      record_gain(state, static_cast<double>(slot), gain);
       if (options.on_fulfillment) {
         options.on_fulfillment(item, node_id, 0.0, gain);
       }
@@ -378,16 +425,17 @@ SimulationResult simulate_impl(trace::EventSource& feed,
             // (fulfillable) items; the rest stay pending. The policy's
             // mandate-execution step still runs — truncation models a
             // cut data transfer, not a lost control channel.
-            const long negotiated = detail::count_fulfillable(
-                state.nodes[e.a], state.nodes[e.b]);
+            const long negotiated =
+                count_fulfillable(state.nodes[e.a], state.nodes[e.b]);
             if (negotiated > 0) {
-              state.transfer_budget = fault_plan.truncation_prefix(negotiated);
+              state.meeting.transfer_budget =
+                  fault_plan.truncation_prefix(negotiated);
               counters.fulfilments_deferred += static_cast<std::uint64_t>(
-                  negotiated - state.transfer_budget);
+                  negotiated - state.meeting.transfer_budget);
             }
           }
-          detail::process_meeting(state, state.nodes[e.a], state.nodes[e.b]);
-          state.transfer_budget = -1;
+          process_meeting(state.meeting, state.nodes[e.a], state.nodes[e.b]);
+          state.meeting.transfer_budget = -1;
         }
       };
 
@@ -418,7 +466,7 @@ SimulationResult simulate_impl(trace::EventSource& feed,
     std::vector<BatchedRequest> batch;
 
     // Observed gains are folded into the series one bin-batch at a time
-    // (detail::record_gain); flushed after the loop, before rate_series.
+    // (record_gain); flushed after the loop, before rate_series.
     stats::BinnedSeries::Batcher observed_batch(observed);
     state.observed_batch = &observed_batch;
 
@@ -536,13 +584,13 @@ SimulationResult simulate_impl(trace::EventSource& feed,
 
         // Meetings of this slot, then the sample tick — the slot-stepped
         // intra-slot order.
-        state.now = event_slot;
+        state.meeting.now = event_slot;
         std::span<const trace::ContactEvent> meetings;
         if (next_meeting == event_slot) meetings = feed.take_batch();
         if (!faults_on) {
           for (const trace::ContactEvent& e : meetings) {
-            detail::process_meeting(state, state.nodes[e.a],
-                                    state.nodes[e.b]);
+            process_meeting(state.meeting, state.nodes[e.a],
+                            state.nodes[e.b]);
           }
         } else if (!meetings.empty()) {
           process_faulty_meetings(event_slot, meetings);
@@ -560,7 +608,7 @@ SimulationResult simulate_impl(trace::EventSource& feed,
     // ---- slot-stepped kernel (the bit-locked Section-6.1 reference) ----
     std::vector<NewRequest> new_requests;
     for (Slot slot = 0; slot < duration; ++slot) {
-      state.now = slot;
+      state.meeting.now = slot;
 
       // Cooperative cancellation (the engine's deadline watchdog).
       if (options.cancel && options.cancel->cancelled()) {
@@ -612,7 +660,7 @@ SimulationResult simulate_impl(trace::EventSource& feed,
       if (feed.next_slot() == slot) meetings = feed.take_batch();
       if (!fault_plan.active()) {
         for (const trace::ContactEvent& e : meetings) {
-          detail::process_meeting(state, state.nodes[e.a], state.nodes[e.b]);
+          process_meeting(state.meeting, state.nodes[e.a], state.nodes[e.b]);
         }
       } else {
         process_faulty_meetings(slot, meetings);

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "impatience/core/meeting.hpp"
 #include "impatience/engine/artifacts.hpp"
 #include "impatience/engine/seeding.hpp"
 #include "impatience/stats/percentile.hpp"
@@ -33,6 +34,22 @@ bool config_equal(const StoreConfig& a, const StoreConfig& b) {
          a.utility_spec == b.utility_spec && a.mu == b.mu &&
          a.reaction_scale == b.reaction_scale &&
          a.mandate_routing == b.mandate_routing;
+}
+
+/// Validates `config` and builds its delay-utility. Every service node is
+/// a client and a server, so own-cache hits (zero-delay fulfilments)
+/// happen and need a finite h(0+); like core::simulate, the store refuses
+/// a utility without one instead of inventing a value.
+std::unique_ptr<utility::DelayUtility> make_store_utility(
+    const StoreConfig& config) {
+  config.validate();
+  auto utility = utility::make_utility(config.utility_spec);
+  if (!utility->bounded_at_zero()) {
+    throw std::invalid_argument(
+        "StoreConfig: utility '" + config.utility_spec +
+        "' has unbounded h(0+); own-cache hits cannot be valued");
+  }
+  return utility;
 }
 
 }  // namespace
@@ -61,16 +78,16 @@ void StoreConfig::validate() const {
 }
 
 StateStore::StateStore(const StoreConfig& config, std::uint64_t seed)
-    : config_(config), seed_(seed) {
-  config_.validate();
-  utility_ = utility::make_utility(config_.utility_spec);
+    : config_(config),
+      seed_(seed),
+      utilities_(*make_store_utility(config_), config_.num_items) {
   // Same stabilizers as core::run_qcr: clamp the counter at |S|, cap one
   // fulfilment's burst at rho, bound any node's backlog by the global
   // cache volume.
   const double servers = static_cast<double>(config_.num_nodes);
   const double burst_cap = static_cast<double>(config_.cache_capacity);
   auto reaction = std::make_shared<utility::ReactionFunction>(
-      *utility_, config_.mu, servers, config_.reaction_scale);
+      utilities_[0], config_.mu, servers, config_.reaction_scale);
   policy_ = std::make_unique<core::QcrPolicy>(
       "QCR-service",
       std::function<double(double)>([reaction, servers, burst_cap](double y) {
@@ -269,7 +286,7 @@ void StateStore::apply_event_locked(const Event& event, util::Rng& rng) {
       if (event.a >= config_.num_nodes || event.item >= config_.num_items) {
         ++counters_.events_malformed;
       } else {
-        apply_request(event.a, event.item, rng);
+        apply_request(event.a, event.item);
       }
       break;
     case Event::Kind::crash:
@@ -317,28 +334,40 @@ void StateStore::apply_clock(Slot slot) {
 }
 
 void StateStore::apply_contact(NodeId a, NodeId b, util::Rng& rng) {
-  ++counters_.contacts;
-  core::Node& na = nodes_[a];
-  core::Node& nb = nodes_[b];
-  // Both sides mutate unconditionally (note_server_meeting ticks the
-  // query counter even on a dry meeting).
+  // Both sides mutate unconditionally (the meeting ticks the query
+  // counter even on a dry meeting).
   mark_dirty_locked(a);
   mark_dirty_locked(b);
-  fulfil_from(na, nb, rng);
-  fulfil_from(nb, na, rng);
-  policy_->on_meeting_complete(na, nb, rng);
+  ++counters_.contacts;
+  core::MeetingContext meeting;
+  meeting.utilities = &utilities_;
+  meeting.policy = policy_.get();
+  meeting.rng = &rng;
+  meeting.now = clock_;
+  meeting.sink = &StateStore::fulfillment_sink;
+  meeting.sink_context = this;
+  core::process_meeting(meeting, nodes_[a], nodes_[b]);
 }
 
-void StateStore::apply_request(NodeId node_id, ItemId item, util::Rng& rng) {
-  (void)rng;
+void StateStore::fulfillment_sink(void* context, ItemId /*item*/,
+                                  NodeId /*client*/, double delay,
+                                  double gain, long /*queries*/) {
+  // Always invoked with mu_ held, from apply_contact.
+  auto* store = static_cast<StateStore*>(context);
+  ++store->counters_.fulfillments;
+  --store->counters_.requests_pending;
+  store->counters_.total_gain += gain;
+  store->counters_.delay_sum += delay;
+  store->record_delay_locked(delay);
+}
+
+void StateStore::apply_request(NodeId node_id, ItemId item) {
   ++counters_.requests_created;
   core::Node& node = nodes_[node_id];
   if (node.holds(item)) {
     // Own-cache hit: fulfilled at zero delay, no query counter, no
     // reaction (QCR only reacts to fulfilments that cost meetings).
-    const double gain = utility_->bounded_at_zero()
-                            ? utility_->value_at_zero()
-                            : utility_->value(1.0);
+    const double gain = utilities_[item].value_at_zero();
     ++counters_.immediate_fulfillments;
     counters_.total_gain += gain;
     record_delay_locked(0.0);
@@ -357,51 +386,6 @@ void StateStore::apply_crash(NodeId node_id) {
   faults_.mandates_lost += losses.mandates;
   faults_.requests_lost += losses.requests;
   counters_.requests_pending -= losses.requests;
-}
-
-void StateStore::fulfil_from(core::Node& requester, core::Node& provider,
-                             util::Rng& rng) {
-  // Service twin of the simulator's meeting protocol (src/core/meeting.cpp),
-  // kept step-identical so the daemon's online QCR matches the offline
-  // kernel: query tick first (clock semantics — the fulfilling meeting
-  // counts), O(rho) prefilter, then one compaction pass.
-  requester.note_server_meeting();
-  if (requester.pending().empty()) return;
-  auto& pending = requester.pending();
-
-  bool any_match = false;
-  for (ItemId item : provider.cache().items()) {
-    if (requester.has_pending(item)) {
-      any_match = true;
-      break;
-    }
-  }
-  if (!any_match) return;
-
-  std::size_t kept = 0;
-  for (std::size_t k = 0; k < pending.size(); ++k) {
-    core::PendingRequest& req = pending[k];
-    if (provider.holds(req.item)) {
-      fulfil_one(requester, provider, req, rng);
-    } else {
-      pending[kept++] = req;
-    }
-  }
-  pending.resize(kept);
-}
-
-void StateStore::fulfil_one(core::Node& requester, core::Node& provider,
-                            core::PendingRequest& req, util::Rng& rng) {
-  const double delay = static_cast<double>(clock_ - req.created) + 1.0;
-  const double gain = utility_->value(delay);
-  const long queries = requester.server_meetings() - req.queries_at_creation;
-  ++counters_.fulfillments;
-  --counters_.requests_pending;
-  counters_.total_gain += gain;
-  counters_.delay_sum += delay;
-  record_delay_locked(delay);
-  requester.note_fulfilled(req.item);
-  policy_->on_fulfillment(requester, provider, req.item, queries, rng);
 }
 
 void StateStore::sync_policy_counters_locked() {
@@ -458,8 +442,7 @@ StateImage::NodeImage StateStore::node_image_locked(NodeId n) const {
   return ni;
 }
 
-StateImage StateStore::image() const {
-  std::lock_guard<std::mutex> lock(mu_);
+StateImage StateStore::image_locked() const {
   refresh_outstanding_locked();
   StateImage image;
   image.config = config_;
@@ -477,22 +460,14 @@ StateImage StateStore::image() const {
   return image;
 }
 
+StateImage StateStore::image() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return image_locked();
+}
+
 StateImage StateStore::checkpoint_image() {
   std::lock_guard<std::mutex> lock(mu_);
-  refresh_outstanding_locked();
-  StateImage image;
-  image.config = config_;
-  image.seed = seed_;
-  image.version = version_;
-  image.seq = seq_;
-  image.clock = clock_;
-  image.counters = counters_;
-  image.faults = faults_;
-  image.nodes.reserve(nodes_.size());
-  for (NodeId n = 0; n < config_.num_nodes; ++n) {
-    image.nodes.push_back(node_image_locked(n));
-  }
-  image.recent_delays = recent_delays_;
+  StateImage image = image_locked();
   // Image + dirty reset under one lock: the next delta is relative to
   // exactly this image, with no apply slipping in between.
   for (NodeId n : dirty_list_) dirty_[n] = 0;
