@@ -9,8 +9,11 @@
 # or their thread-safety assumptions — the lazy-refresh MarginalOracle
 # and the welfare-probe listeners run inside engine-parallel trials, and
 # the daemon's ingest/monitor/snapshot threads share the versioned state
-# store, so they belong in this sweep too. trace_streaming_test and
-# core_mean_field_test ride along under the same `sim` label.
+# store, so they belong in this sweep too. trace_streaming_test,
+# core_mean_field_test and the service-vs-simulator meeting differential
+# test ride along under the `sim` label. Every target whose tests carry
+# one of these labels must be built here: gtest_add_tests registers its
+# cases at configure time, so an unbuilt target shows up as "Not Run".
 #
 # Equivalent presets flow (CMake >= 3.21):
 #   cmake --preset tsan && cmake --build --preset tsan -j \
@@ -31,7 +34,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
   alloc_oracle_test utility_cached_transform_test core_simulator_test \
   service_protocol_test service_state_store_test service_daemon_test \
   service_feeder_test service_ingest_fuzz_test service_snapshot_delta_test \
-  replicationd replfeed
+  service_meeting_differential_test replicationd replfeed
 ctest --test-dir "$BUILD_DIR" -L "(engine|fault|sim|perf|service)" \
   --output-on-failure -j"$(nproc)"
 # core_simulator_test carries no label; select its gtest group by name
