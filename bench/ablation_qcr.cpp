@@ -44,18 +44,17 @@ int main(int argc, char** argv) {
       rho);
   utility::PowerUtility u(0.0);
 
-  // Reference OPT utility: one job per trial.
+  // Reference OPT utility: one job per trial, placements drawn from one
+  // plan (OPT solved once).
   double u_opt = 0.0;
   {
+    const core::CompetitorPlan plan(scenario, u, core::OptMode::kHomogeneous);
     std::vector<alloc::Placement> opt_placements;
     opt_placements.reserve(static_cast<std::size_t>(trials));
     for (int t = 0; t < trials; ++t) {
       util::Rng pr(engine::child_seed(seed, "placement",
                                       static_cast<std::uint64_t>(t)));
-      opt_placements.push_back(
-          core::build_competitors(scenario, u, core::OptMode::kHomogeneous,
-                                  pr)[0]
-              .placement);
+      opt_placements.push_back(std::move(plan.draw(pr)[0].placement));
     }
     std::vector<engine::JobSpec> jobs;
     for (int t = 0; t < trials; ++t) {

@@ -3,6 +3,7 @@
 // normalized-loss rows the evaluation section reports.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iostream>
@@ -131,16 +132,24 @@ inline ComparisonPoint run_comparison(const core::Scenario& scenario,
                                       const ComparisonConfig& config,
                                       std::uint64_t root_seed,
                                       engine::RunReport* accumulate) {
-  // Placements first (serial, cheap): one child stream per trial so the
-  // competitor set is identical for every thread count.
+  // Placements first, serially. OPT and the rounded counts do not depend
+  // on the trial, so one CompetitorPlan solves them once per call; each
+  // trial then draws its placements from its own child stream, so the
+  // competitor set is identical for every thread count. Timed into
+  // RunReport::placement_seconds (the manifest's placement_wall_seconds).
+  const auto placement_start = std::chrono::steady_clock::now();
+  const core::CompetitorPlan plan(scenario, u, config.opt_mode);
   std::vector<std::vector<core::NamedPlacement>> placements;
   placements.reserve(static_cast<std::size_t>(config.trials));
   for (int trial = 0; trial < config.trials; ++trial) {
     util::Rng placement_rng(engine::child_seed(
         root_seed, "placement", static_cast<std::uint64_t>(trial)));
-    placements.push_back(
-        core::build_competitors(scenario, u, config.opt_mode, placement_rng));
+    placements.push_back(plan.draw(placement_rng));
   }
+  const double placement_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    placement_start)
+          .count();
 
   // One job per (algorithm, trial), each with its own child stream keyed
   // by the algorithm name — adding or removing a competitor leaves the
@@ -205,6 +214,7 @@ inline ComparisonPoint run_comparison(const core::Scenario& scenario,
   engine::Runner runner(runner_options);
   engine::RunReport report =
       runner.run(std::move(jobs), root_seed, config.resume);
+  report.placement_seconds = placement_seconds;
 
   ComparisonPoint point;
   point.x = x;

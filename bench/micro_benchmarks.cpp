@@ -240,6 +240,66 @@ void BM_LazyGreedyFig5Naive(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyGreedyFig5Naive)->Unit(benchmark::kMillisecond);
 
+// One fig5_sim sweep point's placements: 50-node, 3-day Infocom-like
+// trace, 50 Pareto items, rho = 5, estimated OPT, 20 trials. PerTrial
+// solves OPT in every trial's build_competitors (the harness before
+// CompetitorPlan); Plan solves it once and draws 20 times.
+constexpr int kFig5SweepTrials = 20;
+
+const core::Scenario& fig5_sweep_scenario() {
+  static const core::Scenario scenario = [] {
+    util::Rng rng(606);
+    trace::InfocomLikeParams params;
+    params.num_nodes = 50;
+    params.days = 3;
+    return core::make_scenario(trace::generate_infocom_like(params, rng),
+                               core::Catalog::pareto(50, 1.0, 1.0), 5);
+  }();
+  return scenario;
+}
+
+void BM_BuildCompetitorsFig5PerTrial(benchmark::State& state) {
+  const auto& scenario = fig5_sweep_scenario();
+  const utility::StepUtility u(10.0);
+  for (auto _ : state) {
+    for (int t = 0; t < kFig5SweepTrials; ++t) {
+      util::Rng rng(static_cast<std::uint64_t>(t));
+      benchmark::DoNotOptimize(core::build_competitors(
+          scenario, u, core::OptMode::kEstimated, rng));
+    }
+  }
+}
+BENCHMARK(BM_BuildCompetitorsFig5PerTrial)->Unit(benchmark::kMillisecond);
+
+void BM_BuildCompetitorsFig5Plan(benchmark::State& state) {
+  const auto& scenario = fig5_sweep_scenario();
+  const utility::StepUtility u(10.0);
+  for (auto _ : state) {
+    const core::CompetitorPlan plan(scenario, u, core::OptMode::kEstimated);
+    for (int t = 0; t < kFig5SweepTrials; ++t) {
+      util::Rng rng(static_cast<std::uint64_t>(t));
+      benchmark::DoNotOptimize(plan.draw(rng));
+    }
+  }
+  // Acceptance check (untimed): a reused plan draws what a fresh
+  // build_competitors builds, trial for trial.
+  const core::CompetitorPlan plan(scenario, u, core::OptMode::kEstimated);
+  for (int t = 0; t < kFig5SweepTrials; ++t) {
+    util::Rng a(static_cast<std::uint64_t>(t));
+    util::Rng b(static_cast<std::uint64_t>(t));
+    const auto drawn = plan.draw(a);
+    const auto built =
+        core::build_competitors(scenario, u, core::OptMode::kEstimated, b);
+    for (std::size_t k = 0; k < drawn.size(); ++k) {
+      if (!same_placement(drawn[k].placement, built[k].placement)) {
+        state.SkipWithError("plan draw differs from build_competitors");
+        return;
+      }
+    }
+  }
+}
+BENCHMARK(BM_BuildCompetitorsFig5Plan)->Unit(benchmark::kMillisecond);
+
 void BM_LossTransformTabulated(benchmark::State& state) {
   const utility::TabulatedUtility u(
       {{0.0, 1.0}, {1.0, 0.8}, {5.0, 0.35}, {20.0, 0.05}, {60.0, 0.0}});

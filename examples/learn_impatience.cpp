@@ -25,11 +25,12 @@ double run_opt_planned_vs_true(const core::Scenario& scenario,
                                const utility::DelayUtility& planning,
                                const utility::DelayUtility& truth,
                                util::Rng& rng, int trials) {
+  const core::CompetitorPlan plan(scenario, planning,
+                                 core::OptMode::kHomogeneous);
   double total = 0.0;
   for (int t = 0; t < trials; ++t) {
     util::Rng pr = rng.split();
-    const auto set = core::build_competitors(
-        scenario, planning, core::OptMode::kHomogeneous, pr);
+    const auto set = plan.draw(pr);
     util::Rng rr = rng.split();
     total += core::run_fixed(scenario, truth, "OPT", set[0].placement,
                              core::SimOptions{}, rr)

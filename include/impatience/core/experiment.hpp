@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -48,8 +49,47 @@ struct NamedPlacement {
   alloc::Placement placement;
 };
 
+/// The paper's competitor set split at the RNG. The constructor does the
+/// work that is the same for every trial: the OPT solve (Lemma-1 lazy
+/// greedy on estimated rates, or Theorem-2 counts) and the rounded
+/// UNI/SQRT/PROP and DOM counts. draw() only materializes the counts
+/// with place_counts, so one plan serves every trial of a sweep point.
+/// The plan copies what it needs; the scenario and utility may go away.
+class CompetitorPlan {
+ public:
+  CompetitorPlan(const Scenario& scenario,
+                 const utility::DelayUtility& utility, OptMode opt_mode);
+
+  /// Per-item delay-utilities h_i (only OPT depends on the utility).
+  CompetitorPlan(const Scenario& scenario,
+                 const utility::UtilitySet& utilities, OptMode opt_mode);
+
+  /// OPT, UNI, SQRT, PROP, DOM, with the same rng draws in the same
+  /// order as build_competitors: the result and the rng's final state
+  /// equal a fresh build_competitors(scenario, utility, opt_mode, rng).
+  std::vector<NamedPlacement> draw(util::Rng& rng) const;
+
+ private:
+  struct Counts {
+    const char* name;
+    alloc::ItemCounts counts;  ///< integer-valued, ready for place_counts
+  };
+
+  template <typename U>
+  void plan(const Scenario& scenario, const U& utility, OptMode opt_mode);
+
+  NodeId num_servers_ = 0;
+  int capacity_ = 0;
+  /// OPT under kEstimated: a placement, so it needs no draw.
+  std::optional<alloc::Placement> fixed_opt_;
+  /// Drawn in this order (OPT first under kHomogeneous).
+  std::vector<Counts> counts_;
+};
+
 /// The paper's competitor set, in order: OPT, UNI, SQRT, PROP, DOM.
 /// All receive the perfect control channel: exact cache presets.
+/// Equivalent to CompetitorPlan(scenario, utility, opt_mode).draw(rng);
+/// build the plan once instead when several trials share the inputs.
 std::vector<NamedPlacement> build_competitors(
     const Scenario& scenario, const utility::DelayUtility& utility,
     OptMode opt_mode, util::Rng& rng);

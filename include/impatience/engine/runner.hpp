@@ -54,6 +54,9 @@ struct RunReport {
   std::uint64_t root_seed = 0;  ///< as passed to Runner::run
   int threads = 1;              ///< resolved worker count
   double wall_seconds = 0.0;    ///< wall time of the whole batch
+  /// Serial placement work a caller did before run() (the harness's
+  /// competitor plan and draws); the Runner itself leaves it at 0.
+  double placement_seconds = 0.0;
   std::size_t failed = 0;       ///< jobs that failed every attempt
   std::size_t quarantined = 0;  ///< jobs that exhausted max_attempts
   std::size_t resumed = 0;      ///< jobs recovered from a prior manifest
@@ -61,9 +64,10 @@ struct RunReport {
   /// Successful outcomes keyed by (policy, x); failed jobs are excluded.
   stats::TrialAggregator aggregate;
 
-  /// Appends another batch (jobs, failures, samples, wall time). An
-  /// empty report adopts other's root seed and thread count; afterwards
-  /// they stick — callers merge batches of one sweep, which share both.
+  /// Appends another batch (jobs, failures, samples, wall and placement
+  /// time). An empty report adopts other's root seed and thread count;
+  /// afterwards they stick — callers merge batches of one sweep, which
+  /// share both.
   void merge(RunReport&& other);
 };
 

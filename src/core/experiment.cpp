@@ -9,55 +9,6 @@ namespace impatience::core {
 
 namespace {
 
-/// U is either DelayUtility or UtilitySet; the alloc layer has matching
-/// overloads for both.
-template <typename U>
-std::vector<NamedPlacement> build_competitors_impl(const Scenario& scenario,
-                                                   const U& utility,
-                                                   OptMode opt_mode,
-                                                   util::Rng& rng) {
-  const auto& demand = scenario.catalog.demands();
-  const auto num_items = scenario.catalog.num_items();
-  const auto num_servers = scenario.num_nodes();
-  const double servers = static_cast<double>(num_servers);
-  const double capacity_total = servers * scenario.capacity;
-
-  std::vector<NamedPlacement> out;
-  out.reserve(5);
-
-  // OPT.
-  if (opt_mode == OptMode::kHomogeneous) {
-    alloc::HomogeneousModel model{scenario.mu, num_servers, num_servers,
-                                  alloc::SystemMode::kPureP2P};
-    const auto counts = alloc::homogeneous_greedy(
-        demand, utility, model,
-        scenario.capacity * static_cast<int>(num_servers));
-    out.push_back({"OPT", alloc::place_counts(counts, num_servers,
-                                              scenario.capacity, rng)});
-  } else {
-    const auto rates = trace::estimate_rates(scenario.trace);
-    std::vector<NodeId> nodes(num_servers);
-    for (NodeId n = 0; n < num_servers; ++n) nodes[n] = n;
-    out.push_back({"OPT", alloc::lazy_greedy_placement(
-                              rates, demand, utility, nodes, nodes,
-                              num_items, scenario.capacity)});
-  }
-
-  auto place = [&](const char* name, const alloc::ItemCounts& real) {
-    const auto ints = alloc::round_counts(real, static_cast<int>(servers));
-    out.push_back({name, alloc::place_counts(ints, num_servers,
-                                             scenario.capacity, rng)});
-  };
-  place("UNI", alloc::uniform_allocation(num_items, capacity_total, servers));
-  place("SQRT", alloc::sqrt_allocation(demand, capacity_total, servers));
-  place("PROP", alloc::prop_allocation(demand, capacity_total, servers));
-  out.push_back(
-      {"DOM", alloc::place_counts(
-                  alloc::dom_allocation(demand, scenario.capacity, servers),
-                  num_servers, scenario.capacity, rng)});
-  return out;
-}
-
 /// One tuned-and-capped reaction function per item (Property 2 + the
 /// stabilizers documented on QcrOptions).
 std::vector<utility::ReactionFunction> build_reactions(
@@ -134,20 +85,82 @@ Scenario make_scenario(trace::ContactTrace trace, Catalog catalog,
   return Scenario{std::move(trace), std::move(catalog), capacity, mu};
 }
 
+/// U is either DelayUtility or UtilitySet; the alloc layer has matching
+/// overloads for both.
+template <typename U>
+void CompetitorPlan::plan(const Scenario& scenario, const U& utility,
+                          OptMode opt_mode) {
+  const auto& demand = scenario.catalog.demands();
+  const auto num_items = scenario.catalog.num_items();
+  num_servers_ = scenario.num_nodes();
+  capacity_ = scenario.capacity;
+  const double servers = static_cast<double>(num_servers_);
+  const double capacity_total = servers * capacity_;
+
+  // OPT.
+  if (opt_mode == OptMode::kHomogeneous) {
+    alloc::HomogeneousModel model{scenario.mu, num_servers_, num_servers_,
+                                  alloc::SystemMode::kPureP2P};
+    counts_.push_back(
+        {"OPT", alloc::homogeneous_greedy(
+                    demand, utility, model,
+                    capacity_ * static_cast<int>(num_servers_))});
+  } else {
+    const auto rates = trace::estimate_rates(scenario.trace);
+    std::vector<NodeId> nodes(num_servers_);
+    for (NodeId n = 0; n < num_servers_; ++n) nodes[n] = n;
+    fixed_opt_ = alloc::lazy_greedy_placement(rates, demand, utility, nodes,
+                                              nodes, num_items, capacity_);
+  }
+
+  auto rounded = [&](const char* name, const alloc::ItemCounts& real) {
+    counts_.push_back(
+        {name, alloc::round_counts(real, static_cast<int>(servers))});
+  };
+  rounded("UNI", alloc::uniform_allocation(num_items, capacity_total, servers));
+  rounded("SQRT", alloc::sqrt_allocation(demand, capacity_total, servers));
+  rounded("PROP", alloc::prop_allocation(demand, capacity_total, servers));
+  counts_.push_back(
+      {"DOM", alloc::dom_allocation(demand, capacity_, servers)});
+}
+
+CompetitorPlan::CompetitorPlan(const Scenario& scenario,
+                               const utility::DelayUtility& utility,
+                               OptMode opt_mode) {
+  plan(scenario, utility, opt_mode);
+}
+
+CompetitorPlan::CompetitorPlan(const Scenario& scenario,
+                               const utility::UtilitySet& utilities,
+                               OptMode opt_mode) {
+  if (utilities.size() != scenario.catalog.num_items()) {
+    throw std::invalid_argument(
+        "CompetitorPlan: utility set size != item count");
+  }
+  plan(scenario, utilities, opt_mode);
+}
+
+std::vector<NamedPlacement> CompetitorPlan::draw(util::Rng& rng) const {
+  std::vector<NamedPlacement> out;
+  out.reserve(counts_.size() + (fixed_opt_ ? 1 : 0));
+  if (fixed_opt_) out.push_back({"OPT", *fixed_opt_});
+  for (const auto& [name, counts] : counts_) {
+    out.push_back(
+        {name, alloc::place_counts(counts, num_servers_, capacity_, rng)});
+  }
+  return out;
+}
+
 std::vector<NamedPlacement> build_competitors(
     const Scenario& scenario, const utility::DelayUtility& utility,
     OptMode opt_mode, util::Rng& rng) {
-  return build_competitors_impl(scenario, utility, opt_mode, rng);
+  return CompetitorPlan(scenario, utility, opt_mode).draw(rng);
 }
 
 std::vector<NamedPlacement> build_competitors(
     const Scenario& scenario, const utility::UtilitySet& utilities,
     OptMode opt_mode, util::Rng& rng) {
-  if (utilities.size() != scenario.catalog.num_items()) {
-    throw std::invalid_argument(
-        "build_competitors: utility set size != item count");
-  }
-  return build_competitors_impl(scenario, utilities, opt_mode, rng);
+  return CompetitorPlan(scenario, utilities, opt_mode).draw(rng);
 }
 
 SimulationResult run_fixed(const Scenario& scenario,

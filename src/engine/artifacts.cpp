@@ -86,6 +86,8 @@ void write_manifest(std::ostream& out, const RunReport& report,
   out << "  \"root_seed\": " << report.root_seed << ",\n";
   out << "  \"threads\": " << report.threads << ",\n";
   out << "  \"wall_seconds\": " << json_number(report.wall_seconds) << ",\n";
+  out << "  \"placement_wall_seconds\": "
+      << json_number(report.placement_seconds) << ",\n";
   out << "  \"jobs_total\": " << report.jobs.size() << ",\n";
   out << "  \"jobs_failed\": " << report.failed << ",\n";
   out << "  \"jobs_quarantined\": " << report.quarantined << ",\n";

@@ -105,6 +105,7 @@ void RunReport::merge(RunReport&& other) {
     threads = other.threads;
   }
   wall_seconds += other.wall_seconds;
+  placement_seconds += other.placement_seconds;
   failed += other.failed;
   quarantined += other.quarantined;
   resumed += other.resumed;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "impatience/utility/families.hpp"
@@ -81,6 +82,97 @@ TEST(BuildCompetitors, UniIsFlat) {
     EXPECT_GE(c, 4.0);
     EXPECT_LE(c, 5.0);
   }
+}
+
+void expect_same_set(const std::vector<NamedPlacement>& a,
+                     const std::vector<NamedPlacement>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].name, b[k].name);
+    const auto& pa = a[k].placement;
+    const auto& pb = b[k].placement;
+    ASSERT_EQ(pa.num_items(), pb.num_items());
+    ASSERT_EQ(pa.num_servers(), pb.num_servers());
+    for (ItemId i = 0; i < pa.num_items(); ++i) {
+      EXPECT_EQ(pa.holders(i), pb.holders(i)) << a[k].name << " item " << i;
+    }
+  }
+}
+
+/// Heterogeneous per-item deadlines, so the UtilitySet overload differs
+/// from the single-utility one.
+utility::UtilitySet mixed_utilities(ItemId items) {
+  std::vector<std::unique_ptr<utility::DelayUtility>> set;
+  for (ItemId i = 0; i < items; ++i) {
+    set.push_back(std::make_unique<StepUtility>(i % 2 == 0 ? 2.0 : 20.0));
+  }
+  return utility::UtilitySet(std::move(set));
+}
+
+/// draw() must reproduce build_competitors exactly: same placements,
+/// same rng consumption, and one plan reused across trial streams must
+/// equal a fresh build per trial.
+template <typename U>
+void check_plan_matches_build(const U& utility_for, OptMode mode) {
+  for (std::uint64_t seed = 20; seed < 28; ++seed) {
+    const auto s = small_scenario(seed);
+    const auto& u = utility_for(s);
+    const CompetitorPlan plan(s, u, mode);
+
+    util::Rng plan_rng(seed * 7);
+    util::Rng build_rng(seed * 7);
+    expect_same_set(plan.draw(plan_rng),
+                    build_competitors(s, u, mode, build_rng));
+    EXPECT_EQ(plan_rng(), build_rng()) << "seed " << seed;
+
+    for (std::uint64_t trial = 0; trial < 4; ++trial) {
+      util::Rng a(seed * 1000 + trial);
+      util::Rng b(seed * 1000 + trial);
+      expect_same_set(plan.draw(a), build_competitors(s, u, mode, b));
+      EXPECT_EQ(a(), b()) << "seed " << seed << " trial " << trial;
+    }
+  }
+}
+
+TEST(CompetitorPlan, DrawEqualsBuildCompetitorsForOneUtility) {
+  StepUtility u(5.0);
+  for (auto mode : {OptMode::kHomogeneous, OptMode::kEstimated}) {
+    check_plan_matches_build(
+        [&u](const Scenario&) -> const utility::DelayUtility& { return u; },
+        mode);
+  }
+}
+
+TEST(CompetitorPlan, DrawEqualsBuildCompetitorsForUtilitySet) {
+  const auto set = mixed_utilities(8);
+  for (auto mode : {OptMode::kHomogeneous, OptMode::kEstimated}) {
+    check_plan_matches_build(
+        [&set](const Scenario&) -> const utility::UtilitySet& { return set; },
+        mode);
+  }
+}
+
+TEST(CompetitorPlan, TrialStreamsStillDiffer) {
+  // The plan fixes OPT and the counts, not the placements: under
+  // kHomogeneous two trial streams place OPT's copies differently.
+  const auto s = small_scenario(30);
+  StepUtility u(5.0);
+  const CompetitorPlan plan(s, u, OptMode::kHomogeneous);
+  util::Rng a(1), b(2);
+  const auto first = plan.draw(a);
+  const auto second = plan.draw(b);
+  bool differs = false;
+  for (ItemId i = 0; i < first[0].placement.num_items(); ++i) {
+    differs |= first[0].placement.holders(i) != second[0].placement.holders(i);
+    EXPECT_EQ(first[0].placement.count(i), second[0].placement.count(i));
+  }
+  EXPECT_TRUE(differs);
+}
+
+TEST(CompetitorPlan, RejectsUtilitySetOfWrongSize) {
+  const auto s = small_scenario(31);
+  EXPECT_THROW(CompetitorPlan(s, mixed_utilities(5), OptMode::kHomogeneous),
+               std::invalid_argument);
 }
 
 TEST(RunFixed, NamesResultAndFreezesCaches) {

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "impatience/engine/resume.hpp"
 #include "impatience/engine/seeding.hpp"
 #include "impatience/util/errors.hpp"
 
@@ -75,6 +76,65 @@ TEST(Artifacts, ManifestContainsSchemaSeriesJobsAndPercentiles) {
     ASSERT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+}
+
+TEST(Artifacts, ManifestCarriesSummedPlacementTimeAndStillResumes) {
+  RunReport report;
+  RunReport first = sample_report();
+  first.placement_seconds = 0.25;
+  RunReport second = sample_report();
+  second.placement_seconds = 0.5;
+  report.merge(std::move(first));
+  report.merge(std::move(second));
+  EXPECT_DOUBLE_EQ(report.placement_seconds, 0.75);
+
+  const std::string path =
+      testing::TempDir() + "impatience_placement_manifest.json";
+  const std::string stripped_path =
+      testing::TempDir() + "impatience_placement_stripped.json";
+  write_manifest_file(path, report, {"unit_test", {}});
+  std::string json;
+  {
+    std::ifstream in(path);
+    json.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  EXPECT_NE(json.find("\n  \"placement_wall_seconds\": 0.75,\n"),
+            std::string::npos);
+
+  // The resume reader sees exactly what it sees without the new key.
+  {
+    std::istringstream in(json);
+    std::ofstream out(stripped_path);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.find("placement_wall_seconds") == std::string::npos) {
+        out << line << '\n';
+      }
+    }
+  }
+  const ResumeSet with_key = load_resume_set(path);
+  const ResumeSet without_key = load_resume_set(stripped_path);
+  EXPECT_EQ(with_key.size(), 3u);
+  EXPECT_EQ(with_key.size(), without_key.size());
+  for (const JobRecord& job : report.jobs) {
+    JobSpec spec;
+    spec.scenario = job.scenario;
+    spec.policy = job.policy;
+    spec.trial = job.trial;
+    spec.x = job.x;
+    spec.seed = job.seed;
+    const double* a = with_key.find(spec);
+    const double* b = without_key.find(spec);
+    ASSERT_EQ(a == nullptr, !job.result.ok);
+    ASSERT_EQ(a == nullptr, b == nullptr);
+    if (a) {
+      EXPECT_EQ(*a, job.result.value);
+      EXPECT_EQ(*a, *b);
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(stripped_path.c_str());
 }
 
 TEST(Artifacts, WriteFileThrowsOnBadPath) {
