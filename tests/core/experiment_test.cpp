@@ -109,22 +109,14 @@ utility::UtilitySet mixed_utilities(ItemId items) {
   return utility::UtilitySet(std::move(set));
 }
 
-/// draw() must reproduce build_competitors exactly: same placements,
-/// same rng consumption, and one plan reused across trial streams must
-/// equal a fresh build per trial.
+/// One plan drawn from several trial streams must equal a fresh
+/// build_competitors per stream: same placements and the same rng
+/// consumption (the next draw agrees).
 template <typename U>
-void check_plan_matches_build(const U& utility_for, OptMode mode) {
+void check_plan_matches_build(const U& u, OptMode mode) {
   for (std::uint64_t seed = 20; seed < 28; ++seed) {
     const auto s = small_scenario(seed);
-    const auto& u = utility_for(s);
     const CompetitorPlan plan(s, u, mode);
-
-    util::Rng plan_rng(seed * 7);
-    util::Rng build_rng(seed * 7);
-    expect_same_set(plan.draw(plan_rng),
-                    build_competitors(s, u, mode, build_rng));
-    EXPECT_EQ(plan_rng(), build_rng()) << "seed " << seed;
-
     for (std::uint64_t trial = 0; trial < 4; ++trial) {
       util::Rng a(seed * 1000 + trial);
       util::Rng b(seed * 1000 + trial);
@@ -137,42 +129,15 @@ void check_plan_matches_build(const U& utility_for, OptMode mode) {
 TEST(CompetitorPlan, DrawEqualsBuildCompetitorsForOneUtility) {
   StepUtility u(5.0);
   for (auto mode : {OptMode::kHomogeneous, OptMode::kEstimated}) {
-    check_plan_matches_build(
-        [&u](const Scenario&) -> const utility::DelayUtility& { return u; },
-        mode);
+    check_plan_matches_build(u, mode);
   }
 }
 
 TEST(CompetitorPlan, DrawEqualsBuildCompetitorsForUtilitySet) {
   const auto set = mixed_utilities(8);
   for (auto mode : {OptMode::kHomogeneous, OptMode::kEstimated}) {
-    check_plan_matches_build(
-        [&set](const Scenario&) -> const utility::UtilitySet& { return set; },
-        mode);
+    check_plan_matches_build(set, mode);
   }
-}
-
-TEST(CompetitorPlan, TrialStreamsStillDiffer) {
-  // The plan fixes OPT and the counts, not the placements: under
-  // kHomogeneous two trial streams place OPT's copies differently.
-  const auto s = small_scenario(30);
-  StepUtility u(5.0);
-  const CompetitorPlan plan(s, u, OptMode::kHomogeneous);
-  util::Rng a(1), b(2);
-  const auto first = plan.draw(a);
-  const auto second = plan.draw(b);
-  bool differs = false;
-  for (ItemId i = 0; i < first[0].placement.num_items(); ++i) {
-    differs |= first[0].placement.holders(i) != second[0].placement.holders(i);
-    EXPECT_EQ(first[0].placement.count(i), second[0].placement.count(i));
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(CompetitorPlan, RejectsUtilitySetOfWrongSize) {
-  const auto s = small_scenario(31);
-  EXPECT_THROW(CompetitorPlan(s, mixed_utilities(5), OptMode::kHomogeneous),
-               std::invalid_argument);
 }
 
 TEST(RunFixed, NamesResultAndFreezesCaches) {
