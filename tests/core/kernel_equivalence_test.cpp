@@ -1,7 +1,8 @@
 // Statistical equivalence of the event-driven kernel with the
 // slot-stepped reference — fault-free and fault-active (geometric-skip
 // crash scheduling) — plus the bit-identity locks that pin the
-// slot-stepped path to the pre-PR outputs. Runs under `ctest -L sim`.
+// slot-stepped path to the pre-PR outputs and the event-driven path to
+// its own captured outputs. Runs under `ctest -L sim`.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -262,6 +263,64 @@ TEST(KernelGolden, FaultySlotSteppedMatchesPr3Capture) {
   EXPECT_DOUBLE_EQ(r.mean_query_count, 5.1276836158192092);
   EXPECT_EQ(r.faults.meetings_dropped, 446u);
   EXPECT_EQ(r.faults.crashes, 7u);
+}
+
+// Event-kernel locks: the same three configs under SimKernel::event_driven,
+// captured before the simulator was split into its two kernel loops. The
+// event kernel's RNG use differs from the slot kernel's, so these pin its
+// own stream, not agreement with the slot goldens above.
+
+TEST(KernelGolden, EventDrivenQcrMatchesCapture) {
+  const auto r = run_config_a(SimKernel::event_driven);
+  EXPECT_EQ(r.total_gain, 1348.0);
+  EXPECT_EQ(r.fulfillments, 1225u);
+  EXPECT_EQ(r.immediate_fulfillments, 276u);
+  EXPECT_EQ(r.censored_requests, 5u);
+  EXPECT_EQ(r.requests_created, 1506u);
+  EXPECT_EQ(r.mean_delay, 5.3951020408163268);
+  EXPECT_EQ(r.mean_query_count, 7.0465306122448981);
+  EXPECT_EQ(r.final_counts,
+            (std::vector<int>{9, 7, 9, 6, 6, 6, 5, 5, 4, 3, 3, 3, 4, 4, 4,
+                              2, 3, 3, 3, 3, 3, 4, 2, 4, 3, 1, 2, 3, 3, 3}));
+}
+
+TEST(KernelGolden, EventDrivenFixedMatchesCapture) {
+  const auto r = run_config_b(SimKernel::event_driven);
+  EXPECT_EQ(r.total_gain, 609.43428311208504);
+  EXPECT_EQ(r.fulfillments, 1569u);
+  EXPECT_EQ(r.immediate_fulfillments, 328u);
+  EXPECT_EQ(r.censored_requests, 88u);
+  EXPECT_EQ(r.requests_created, 1985u);
+  EXPECT_EQ(r.mean_delay, 93.521988527724659);
+  EXPECT_EQ(r.mean_query_count, 5.6335245379222432);
+  EXPECT_EQ(r.final_counts, std::vector<int>(25, 4));
+}
+
+TEST(KernelGolden, EventDrivenFaultyMatchesCapture) {
+  const auto r = run_config_c(SimKernel::event_driven);
+  EXPECT_EQ(r.total_gain, 1117.0);
+  EXPECT_EQ(r.fulfillments, 907u);
+  EXPECT_EQ(r.immediate_fulfillments, 292u);
+  EXPECT_EQ(r.censored_requests, 2u);
+  EXPECT_EQ(r.requests_created, 1202u);
+  EXPECT_EQ(r.mean_delay, 8.0937155457552379);
+  EXPECT_EQ(r.mean_query_count, 5.471885336273429);
+  EXPECT_EQ(r.final_counts,
+            (std::vector<int>{11, 7, 3, 3, 2, 5, 5, 3, 3, 3, 3, 4, 3, 5, 2,
+                              5, 2, 2, 3, 2}));
+  const fault::FaultCounters& f = r.faults;
+  EXPECT_EQ(f.crashes, 10u);
+  EXPECT_EQ(f.cold_restarts, 0u);
+  EXPECT_EQ(f.replicas_lost, 29u);
+  EXPECT_EQ(f.mandates_lost, 0);
+  EXPECT_EQ(f.requests_lost, 1u);
+  EXPECT_EQ(f.meetings_skipped_down, 54u);
+  EXPECT_EQ(f.requests_suppressed, 5u);
+  EXPECT_EQ(f.meetings_dropped, 440u);
+  EXPECT_EQ(f.meetings_duplicated, 181u);
+  EXPECT_EQ(f.slots_reordered, 109u);
+  EXPECT_EQ(f.exchanges_truncated, 56u);
+  EXPECT_EQ(f.fulfilments_deferred, 59u);
 }
 
 // ---------------------------------------------------------------------
