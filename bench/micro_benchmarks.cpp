@@ -774,13 +774,15 @@ BENCHMARK(BM_MaterializedTrace)->Unit(benchmark::kMillisecond);
 void BM_StreamingTrace(benchmark::State& state) {
   const auto catalog = core::Catalog::pareto(kMfItems, 1.0, 1.0);
   const utility::StepUtility u(10.0);
+  const utility::UtilitySet utilities(u, catalog.num_items());
+  const auto population = core::Population::pure_p2p(kStreamParams.num_nodes);
   const auto sim = stream_options();
   core::StaticPolicy policy;
   for (auto _ : state) {
     trace::GeneratedSource source(kStreamParams, util::Rng(4040));
     util::Rng r(14);
-    benchmark::DoNotOptimize(
-        core::simulate(source, catalog, u, policy, sim, r));
+    benchmark::DoNotOptimize(core::simulate(source, catalog, utilities,
+                                            policy, population, sim, r));
   }
   state.SetItemsProcessed(state.iterations() * kStreamParams.duration);
   // Acceptance check (untimed): the streamed run must be bit-identical
@@ -791,7 +793,8 @@ void BM_StreamingTrace(benchmark::State& state) {
   const auto a = core::simulate(tr, catalog, u, policy, sim, r1);
   trace::GeneratedSource source(kStreamParams, util::Rng(4040));
   util::Rng r2(14);
-  const auto b = core::simulate(source, catalog, u, policy, sim, r2);
+  const auto b =
+      core::simulate(source, catalog, utilities, policy, population, sim, r2);
   if (a.total_gain != b.total_gain || a.fulfillments != b.fulfillments ||
       a.requests_created != b.requests_created ||
       a.final_counts != b.final_counts) {

@@ -16,7 +16,7 @@ using trace::Slot;
 struct MetricsConfig {
   /// Slots per bin of the observed-utility series (Fig. 3b / Fig. 5a).
   double bin_width = 60.0;
-  /// Sampling period (slots) for expected welfare and replica counts.
+  /// Sampling period (slots, > 0) for expected welfare and replica counts.
   Slot sample_every = 50;
   /// Items whose replica-count series is recorded (Fig. 3c/3d).
   std::vector<ItemId> tracked_items;

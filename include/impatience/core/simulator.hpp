@@ -57,22 +57,6 @@ enum class SimKernel {
 /// Display name ("slot" / "event"), e.g. for manifests and --kernel.
 const char* kernel_name(SimKernel kernel) noexcept;
 
-/// How sticky seeding and the random cache fill draw items when no
-/// initial placement is given.
-enum class InitSampling {
-  /// Draw a uniform item, retry on duplicates (and a uniform eviction
-  /// victim for sticky seeding). The bit-locked reference: the golden
-  /// locks pin this stream use.
-  rejection,
-  /// Draw from util::AliasTable tables over the eligible items — the
-  /// remaining absent items for the fill (no retries, so the per-slot
-  /// cost no longer decays with cache occupancy), the cached items for
-  /// the sticky eviction victim. Same uniform law as `rejection`, but a
-  /// different use of the RNG stream, so runs are not bit-comparable
-  /// across the two modes.
-  alias,
-};
-
 struct SimOptions {
   int cache_capacity = 5;  ///< rho
   /// Time-advance kernel; see SimKernel. The slot-stepped loop stays the
@@ -85,9 +69,6 @@ struct SimOptions {
   /// placement (e.g. the sticky pins) are inserted on top. When absent,
   /// caches are filled with distinct uniformly random items.
   std::optional<alloc::Placement> initial_placement;
-  /// Item-draw scheme for sticky seeding and the random fill; the
-  /// rejection default is the bit-locked reference.
-  InitSampling init_sampling = InitSampling::rejection;
   MetricsConfig metrics{};
   /// Evaluated on sampled per-item replica counts to produce the
   /// expected-welfare series (Fig. 3a); leave empty to skip.
@@ -130,17 +111,33 @@ struct SimOptions {
   /// is bit-identical to a run with no fault plan at all, and a seeded
   /// faulty run is bit-identical across engine thread counts.
   fault::FaultConfig faults{};
-  /// Cooperative cancellation: checked once per slot in the event loop.
-  /// When cancelled, simulate() throws util::CancelledError — the
-  /// engine's deadline watchdog maps it to ErrorKind::timeout.
+  /// Cooperative cancellation: checked once per slot by the slot kernel
+  /// and once per event step by the event kernel. When cancelled,
+  /// simulate() throws util::CancelledError — the engine's deadline
+  /// watchdog maps it to ErrorKind::timeout.
   const util::CancellationToken* cancel = nullptr;
 };
 
-/// Runs one simulation trial with per-item delay-utilities h_i. The delay
-/// fed to the utility is (fulfilment slot - creation slot + 1): the
-/// discrete-time contact model charges at least one slot per
-/// meeting-based fulfilment (Lemma 1). Immediate own-cache hits at
-/// request creation gain h_i(0+).
+/// Runs one simulation trial with per-item delay-utilities h_i, driven
+/// by a trace::EventSource. The delay fed to the utility is (fulfilment
+/// slot - creation slot + 1): the discrete-time contact model charges at
+/// least one slot per meeting-based fulfilment (Lemma 1). Immediate
+/// own-cache hits at request creation gain h_i(0+).
+///
+/// Both kernels consume the feed one slot batch at a time, so peak
+/// memory is O(largest slot batch) rather than O(total events). The
+/// source is single-pass and is left drained. Bit-identity: a
+/// GeneratedSource seeded like the generator run (or a MaterializedSource
+/// over the generated trace, or a PagedTraceReader over its file)
+/// produces results bit-identical to the ContactTrace overloads for the
+/// same simulation rng, kernel and fault config.
+SimulationResult simulate(trace::EventSource& source, const Catalog& catalog,
+                          const utility::UtilitySet& utilities,
+                          ReplicationPolicy& policy,
+                          const Population& population,
+                          const SimOptions& options, util::Rng& rng);
+
+/// Materialized trace: runs the overload above on a MaterializedSource.
 SimulationResult simulate(const trace::ContactTrace& trace,
                           const Catalog& catalog,
                           const utility::UtilitySet& utilities,
@@ -164,36 +161,6 @@ SimulationResult simulate(const trace::ContactTrace& trace,
                           const SimOptions& options, util::Rng& rng);
 SimulationResult simulate(const trace::ContactTrace& trace,
                           const Catalog& catalog,
-                          const utility::DelayUtility& utility,
-                          ReplicationPolicy& policy,
-                          const SimOptions& options, util::Rng& rng);
-
-/// Streaming overloads: drive the run from a trace::EventSource instead
-/// of a materialized ContactTrace. Both kernels consume the feed one
-/// slot batch at a time, so peak memory is O(largest slot batch) rather
-/// than O(total events). The source is single-pass and is left drained.
-/// Bit-identity: a GeneratedSource seeded like the generator run (or a
-/// MaterializedSource over the generated trace, or a PagedTraceReader
-/// over its file) produces results bit-identical to the materialized
-/// overloads for the same simulation rng, kernel and fault config.
-SimulationResult simulate(trace::EventSource& source, const Catalog& catalog,
-                          const utility::UtilitySet& utilities,
-                          ReplicationPolicy& policy,
-                          const Population& population,
-                          const SimOptions& options, util::Rng& rng);
-
-SimulationResult simulate(trace::EventSource& source, const Catalog& catalog,
-                          const utility::DelayUtility& utility,
-                          ReplicationPolicy& policy,
-                          const Population& population,
-                          const SimOptions& options, util::Rng& rng);
-
-/// Pure-P2P convenience overloads covering all source nodes.
-SimulationResult simulate(trace::EventSource& source, const Catalog& catalog,
-                          const utility::UtilitySet& utilities,
-                          ReplicationPolicy& policy,
-                          const SimOptions& options, util::Rng& rng);
-SimulationResult simulate(trace::EventSource& source, const Catalog& catalog,
                           const utility::DelayUtility& utility,
                           ReplicationPolicy& policy,
                           const SimOptions& options, util::Rng& rng);

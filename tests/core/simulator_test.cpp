@@ -267,26 +267,24 @@ TEST(Simulator, CensoringTogglesAccounting) {
 }
 
 // ---------------------------------------------------------------------
-// Cache-init sampling (InitSampling). The rejection path is the seeded
-// bit-locked default; the alias path replaces the rejection loop with
-// one alias-table draw per slot. Same law, different stream use. The
-// no-contact trace freezes the run at its initial fill (StaticPolicy,
-// nothing can move), so final_counts IS the fill.
+// Random cache init: sticky seeding plus a rejection-sampled fill of
+// distinct uniform items. The no-contact trace freezes the run at its
+// initial fill (StaticPolicy, nothing can move), so final_counts IS the
+// fill.
 
-SimulationResult run_fill_only(std::uint64_t seed, InitSampling sampling) {
+SimulationResult run_fill_only(std::uint64_t seed) {
   trace::ContactTrace no_contacts(6, 2, {});
   const auto catalog = Catalog::pareto(6, 1.0, 0.5);
   StepUtility u(5.0);
   StaticPolicy policy;
   SimOptions options = basic_options();
   options.sticky_replicas = true;
-  options.init_sampling = sampling;
   util::Rng rng(seed);
   return simulate(no_contacts, catalog, u, policy, options, rng);
 }
 
-TEST(Simulator, AliasInitFillsFullDistinctCaches) {
-  const auto r = run_fill_only(3, InitSampling::alias);
+TEST(Simulator, InitFillsFullDistinctCaches) {
+  const auto r = run_fill_only(3);
   // 6 servers x capacity 3, all items distinct within a cache.
   EXPECT_EQ(std::accumulate(r.final_counts.begin(), r.final_counts.end(), 0),
             18);
@@ -294,69 +292,26 @@ TEST(Simulator, AliasInitFillsFullDistinctCaches) {
   for (int c : r.final_counts) EXPECT_GE(c, 1);
 }
 
-TEST(Simulator, RejectionInitIsTheSeededDefault) {
-  // The enum default must stay `rejection` (the bit-locked reference):
-  // an explicit rejection run reproduces the default-options run
-  // exactly, and the same seed is reproducible.
-  trace::ContactTrace no_contacts(6, 2, {});
-  const auto catalog = Catalog::pareto(6, 1.0, 0.5);
-  StepUtility u(5.0);
-  StaticPolicy policy;
-  SimOptions options = basic_options();
-  options.sticky_replicas = true;
-  util::Rng rng(9);
-  const auto default_run = simulate(no_contacts, catalog, u, policy,
-                                    options, rng);
-  const auto explicit_run = run_fill_only(9, InitSampling::rejection);
-  EXPECT_EQ(default_run.final_counts, explicit_run.final_counts);
-  const auto again = run_fill_only(9, InitSampling::rejection);
-  EXPECT_EQ(again.final_counts, explicit_run.final_counts);
-}
-
-TEST(Simulator, AliasInitMatchesRejectionInLaw) {
-  // Both samplers fill the 2 non-sticky slots of each cache with
-  // distinct uniform items; by symmetry every item's expected non-sticky
-  // count per run is 2. Chi-square each sampler's aggregate against that
-  // flat law (df = 5; 3.72-sigma Wilson-Hilferty critical ~ 27).
+TEST(Simulator, InitFillIsUniformInLaw) {
+  // The fill puts distinct uniform items into the 2 non-sticky slots of
+  // each cache; by symmetry every item's expected non-sticky count per
+  // run is 2. Chi-square the aggregate against that flat law (df = 5;
+  // 3.72-sigma Wilson-Hilferty critical ~ 27).
   constexpr int kRuns = 300;
-  auto aggregate = [&](InitSampling sampling) {
-    std::vector<double> totals(6, 0.0);
-    for (int run = 0; run < kRuns; ++run) {
-      const auto r = run_fill_only(1000 + run, sampling);
-      for (std::size_t i = 0; i < totals.size(); ++i) {
-        // Subtract the deterministic sticky seed (item i at server i).
-        totals[i] += static_cast<double>(r.final_counts[i]) - 1.0;
-      }
+  std::vector<double> totals(6, 0.0);
+  for (int run = 0; run < kRuns; ++run) {
+    const auto r = run_fill_only(1000 + run);
+    for (std::size_t i = 0; i < totals.size(); ++i) {
+      // Subtract the deterministic sticky seed (item i at server i).
+      totals[i] += static_cast<double>(r.final_counts[i]) - 1.0;
     }
-    return totals;
-  };
-  auto chi_square = [](const std::vector<double>& totals) {
-    const double expected = 2.0 * kRuns;
-    double stat = 0.0;
-    for (double t : totals) {
-      stat += (t - expected) * (t - expected) / expected;
-    }
-    return stat;
-  };
-  EXPECT_LT(chi_square(aggregate(InitSampling::rejection)), 27.0);
-  EXPECT_LT(chi_square(aggregate(InitSampling::alias)), 27.0);
-}
-
-TEST(Simulator, AliasInitWorksWithQcrAndKeepsConservation) {
-  // End-to-end: alias-init QCR behaves like a normal run (replica total
-  // conserved at capacity, requests balance).
-  const auto trace = small_trace(21);
-  const auto catalog = Catalog::pareto(10, 1.0, 0.5);
-  StepUtility u(5.0);
-  auto policy = make_qcr(u, 0.08, 12);
-  SimOptions options = basic_options();
-  options.init_sampling = InitSampling::alias;
-  util::Rng rng(22);
-  const auto r = simulate(trace, catalog, u, policy, options, rng);
-  EXPECT_EQ(std::accumulate(r.final_counts.begin(), r.final_counts.end(), 0),
-            3 * 12);
-  EXPECT_EQ(r.requests_created, r.fulfillments + r.immediate_fulfillments +
-                                    r.censored_requests);
+  }
+  const double expected = 2.0 * kRuns;
+  double stat = 0.0;
+  for (double t : totals) {
+    stat += (t - expected) * (t - expected) / expected;
+  }
+  EXPECT_LT(stat, 27.0);
 }
 
 TEST(Simulator, DedicatedPopulationSeparatesRoles) {
@@ -396,6 +351,19 @@ TEST(Simulator, Validation) {
   bad.cache_capacity = 0;
   EXPECT_THROW(simulate(trace, catalog, u, policy, bad, rng),
                std::invalid_argument);
+
+  // Both kernels divide by the sampling period: 0 and negative periods
+  // are rejected up front.
+  for (SimKernel kernel : {SimKernel::slot_stepped, SimKernel::event_driven}) {
+    for (Slot every : {Slot{0}, Slot{-5}}) {
+      bad = basic_options();
+      bad.kernel = kernel;
+      bad.metrics.sample_every = every;
+      EXPECT_THROW(simulate(trace, catalog, u, policy, bad, rng),
+                   std::invalid_argument)
+          << kernel_name(kernel) << " sample_every " << every;
+    }
+  }
 
   Population empty;
   EXPECT_THROW(

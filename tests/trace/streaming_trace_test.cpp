@@ -271,7 +271,10 @@ core::SimulationResult run_streamed(EventSource& source,
   utility::StepUtility u(12.0);
   core::StaticPolicy policy;
   util::Rng rng(seed);
-  return core::simulate(source, catalog, u, policy, options, rng);
+  return core::simulate(source, catalog,
+                        utility::UtilitySet(u, catalog.num_items()), policy,
+                        core::Population::pure_p2p(source.num_nodes()),
+                        options, rng);
 }
 
 TEST(StreamingSimulation, BitIdenticalAcrossSourcesKernelsAndFaults) {
