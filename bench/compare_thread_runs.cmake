@@ -3,10 +3,36 @@
 # determinism contract at the harness level. With GOLDEN set, the stdout
 # must also equal that file byte for byte (a capture from an earlier
 # build, so a refactor cannot move the numbers on every thread count).
+# With IGNORE_REGEX set, lines matching it are dropped from both runs and
+# from the golden before comparing (e.g. a peak-RSS line that varies from
+# run to run).
 #
 # Usage: cmake -DBINARY=<path> -DARGS=<;-list> [-DGOLDEN=<file>]
-#              -P compare_thread_runs.cmake
+#              [-DIGNORE_REGEX=<regex>] -P compare_thread_runs.cmake
 separate_arguments(arg_list UNIX_COMMAND "${ARGS}")
+
+# Drops the lines of the named variable that match IGNORE_REGEX. Lines
+# are cut with string(FIND) rather than turned into a CMake list, so
+# brackets and semicolons in the output survive untouched.
+function(drop_ignored_lines var)
+  set(text "${${var}}")
+  set(kept "")
+  while(NOT text STREQUAL "")
+    string(FIND "${text}" "\n" newline)
+    if(newline EQUAL -1)
+      set(line "${text}")
+      set(text "")
+    else()
+      math(EXPR line_end "${newline} + 1")
+      string(SUBSTRING "${text}" 0 ${line_end} line)
+      string(SUBSTRING "${text}" ${line_end} -1 text)
+    endif()
+    if(NOT line MATCHES "${IGNORE_REGEX}")
+      string(APPEND kept "${line}")
+    endif()
+  endwhile()
+  set(${var} "${kept}" PARENT_SCOPE)
+endfunction()
 
 execute_process(
   COMMAND ${BINARY} ${arg_list} --threads 1
@@ -26,6 +52,11 @@ if(NOT rc_wide EQUAL 0)
   message(FATAL_ERROR "--threads 4 run failed (${rc_wide}): ${err_wide}")
 endif()
 
+if(DEFINED IGNORE_REGEX)
+  drop_ignored_lines(out_serial)
+  drop_ignored_lines(out_wide)
+endif()
+
 if(NOT out_serial STREQUAL out_wide)
   message(FATAL_ERROR
     "stdout differs between --threads 1 and --threads 4\n"
@@ -34,6 +65,9 @@ endif()
 
 if(DEFINED GOLDEN)
   file(READ ${GOLDEN} golden)
+  if(DEFINED IGNORE_REGEX)
+    drop_ignored_lines(golden)
+  endif()
   if(NOT out_serial STREQUAL golden)
     message(FATAL_ERROR
       "stdout differs from ${GOLDEN}\n"

@@ -386,5 +386,99 @@ TEST(MeanFieldQcr, TracksSimulatedQcrWithinLooseBand) {
       << "fluid QCR diverged from simulated QCR";
 }
 
+// --------------------------------------------------------------------
+// Exact captures: the count-space competitor set, each competitor's
+// welfare and the QCR ODE, pinned bit for bit on a small power and a
+// small step case (N = 60, 10 items, rho = 3). The power case caps the
+// burst below the reaction at low counts, so the cap is on the path.
+
+struct GoldenCompetitor {
+  const char* name;
+  std::vector<double> counts;
+  double welfare;
+};
+
+MeanFieldModel golden_model() {
+  MeanFieldModel m;
+  m.mu = 0.02;
+  m.num_nodes = 60;
+  m.horizon = 600;
+  return m;
+}
+
+void expect_competitors_golden(const utility::DelayUtility& u,
+                               const std::vector<GoldenCompetitor>& golden) {
+  const auto demand = Catalog::pareto(10, 1.0, 1.0).demands();
+  const MeanFieldModel m = golden_model();
+  const auto competitors = mean_field_competitors(demand, u, m, 3);
+  ASSERT_EQ(competitors.size(), golden.size());
+  for (std::size_t k = 0; k < golden.size(); ++k) {
+    EXPECT_EQ(competitors[k].name, golden[k].name);
+    EXPECT_EQ(competitors[k].counts.x, golden[k].counts) << golden[k].name;
+    EXPECT_EQ(mean_field_welfare(competitors[k].counts, demand, u, m),
+              golden[k].welfare)
+        << golden[k].name;
+  }
+}
+
+const std::vector<double> kGoldenSqrt{36, 25, 21, 18, 16, 15, 13, 13, 12, 11};
+const std::vector<double> kGoldenProp{60, 31, 21, 16, 12, 10, 9, 8, 7, 6};
+const std::vector<double> kGoldenUni(10, 18.0);
+const std::vector<double> kGoldenDom{60, 60, 60, 0, 0, 0, 0, 0, 0, 0};
+
+TEST(MeanFieldGolden, PowerCompetitorsMatchCapture) {
+  expect_competitors_golden(
+      utility::PowerUtility(-1.0),
+      {{"OPT", {29, 23, 20, 18, 17, 16, 15, 15, 14, 13}, -5.1033018159080594},
+       {"UNI", kGoldenUni, -6.3406660085125628},
+       {"SQRT", kGoldenSqrt, -5.4113346413395069},
+       {"PROP", kGoldenProp, -10.603470542771344},
+       {"DOM", kGoldenDom, -22612.849354197715}});
+}
+
+TEST(MeanFieldGolden, StepCompetitorsMatchCapture) {
+  expect_competitors_golden(
+      utility::StepUtility(10.0),
+      {{"OPT", {25, 22, 20, 18, 18, 17, 16, 15, 15, 14}, 0.98630237460760894},
+       {"UNI", kGoldenUni, 0.98183531399008872},
+       {"SQRT", kGoldenSqrt, 0.98197700414536571},
+       {"PROP", kGoldenProp, 0.95451077260113582},
+       {"DOM", kGoldenDom, 0.63154247391952312}});
+}
+
+TEST(MeanFieldGolden, PowerQcrMatchesCapture) {
+  utility::PowerUtility u(-1.0);
+  QcrOptions qcr;
+  qcr.max_replicas_per_fulfillment = 0.3;
+  const auto r = mean_field_qcr(Catalog::pareto(10, 1.0, 1.0).demands(), u,
+                                golden_model(), 3, qcr);
+  EXPECT_EQ(r.mean_welfare_rate, -5.4455426372832445);
+  EXPECT_EQ(r.final_welfare_rate, -5.1797714526028793);
+  EXPECT_EQ(r.steps, 22);
+  EXPECT_EQ(r.rejected_steps, 6);
+  EXPECT_EQ(r.final_counts.x,
+            (std::vector<double>{25.803988831728518, 21.592644666858661,
+                                 19.505192369817483, 18.195783847873166,
+                                 17.277825269646009, 16.590378499578438,
+                                 15.979931946561377, 15.43397382508512,
+                                 14.99127362018649, 14.629007122664733}));
+}
+
+TEST(MeanFieldGolden, StepQcrMatchesCapture) {
+  utility::StepUtility u(10.0);
+  const auto r = mean_field_qcr(Catalog::pareto(10, 1.0, 1.0).demands(), u,
+                                golden_model(), 3);
+  EXPECT_EQ(r.mean_welfare_rate, 0.98545750437814128);
+  EXPECT_EQ(r.final_welfare_rate, 0.98621471066632393);
+  EXPECT_EQ(r.steps, 19);
+  EXPECT_EQ(r.rejected_steps, 0);
+  EXPECT_EQ(r.final_counts.x,
+            (std::vector<double>{24.13751126415605, 21.113218298369219,
+                                 19.419704416897616, 18.279566306849212,
+                                 17.442554101624324, 16.795363085620064,
+                                 16.27702966610153, 15.851074153600438,
+                                 15.494024134231713, 15.18995457254983}));
+}
+
 }  // namespace
 }  // namespace impatience::core
