@@ -18,7 +18,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "impatience/engine/watchdog.hpp"
@@ -40,14 +42,32 @@ void handle_signal(int) {
   if (g_token) g_token->cancel(util::CancelReason::shutdown);
 }
 
+constexpr long kMaxCount = std::numeric_limits<int>::max();
+constexpr long kMaxLong = std::numeric_limits<long>::max();
+constexpr long kMaxPort = 65535;
+
+/// Reads an integer flag, rejecting a value outside [lo, hi] instead of
+/// letting the unsigned or narrowing cast that stores it wrap around.
+long bounded_flag(const util::Flags& flags, const std::string& key,
+                  long fallback, long lo, long hi) {
+  const long value = flags.get_long(key, fallback);
+  if (value < lo || value > hi) {
+    throw std::invalid_argument("--" + key + " must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got " +
+                                std::to_string(value));
+  }
+  return value;
+}
+
 int run_generator(const util::Flags& flags) {
   service::StreamConfig config;
-  config.events =
-      static_cast<std::uint64_t>(flags.get_long("gen-stream", 1000));
-  config.num_nodes =
-      static_cast<service::NodeId>(flags.get_int("nodes", 50));
-  config.num_items =
-      static_cast<service::ItemId>(flags.get_int("items", 50));
+  config.events = static_cast<std::uint64_t>(
+      bounded_flag(flags, "gen-stream", 1000, 0, kMaxLong));
+  config.num_nodes = static_cast<service::NodeId>(
+      bounded_flag(flags, "nodes", 50, 1, kMaxCount));
+  config.num_items = static_cast<service::ItemId>(
+      bounded_flag(flags, "items", 50, 1, kMaxCount));
   config.zipf = flags.get_double("zipf", 1.0);
   config.request_fraction = flags.get_double("request-fraction", 0.5);
   config.crash_fraction = flags.get_double("crash-fraction", 0.0);
@@ -72,10 +92,10 @@ int run_generator(const util::Flags& flags) {
 
 int run_daemon(const util::Flags& flags) {
   service::DaemonConfig config;
-  config.store.num_nodes =
-      static_cast<service::NodeId>(flags.get_int("nodes", 50));
-  config.store.num_items =
-      static_cast<service::ItemId>(flags.get_int("items", 50));
+  config.store.num_nodes = static_cast<service::NodeId>(
+      bounded_flag(flags, "nodes", 50, 1, kMaxCount));
+  config.store.num_items = static_cast<service::ItemId>(
+      bounded_flag(flags, "items", 50, 1, kMaxCount));
   config.store.cache_capacity = flags.get_int("capacity", 5);
   config.store.sticky_replicas = flags.get_bool("sticky", true);
   config.store.utility_spec = flags.get_string("utility", "step:tau=10");
@@ -84,21 +104,23 @@ int run_daemon(const util::Flags& flags) {
   config.store.mandate_routing = flags.get_bool("mandate-routing", true);
   config.seed = static_cast<std::uint64_t>(flags.get_long("seed", 1));
   config.socket_path = flags.get_string("socket", "");
-  config.tcp_port = flags.get_int("tcp", -1);
+  config.tcp_port =
+      static_cast<int>(bounded_flag(flags, "tcp", -1, -1, kMaxPort));
   config.input_path = flags.get_string("input", "-");
   config.follow = flags.get_bool("follow", false);
   config.follow_poll_s = flags.get_duration("follow-poll", 0.05);
   config.ingest_buffer_bytes = static_cast<std::size_t>(
-      flags.get_long("ingest-buffer", 256 * 1024));
-  config.http_port = flags.get_int("port", 0);
+      bounded_flag(flags, "ingest-buffer", 256 * 1024, 0, kMaxLong));
+  config.http_port =
+      static_cast<int>(bounded_flag(flags, "port", 0, -1, kMaxPort));
   config.snapshot_path = flags.get_string("snapshot", "");
   config.snapshot_interval_s = flags.get_duration("snapshot-interval", 0.0);
-  config.snapshot_every =
-      static_cast<std::uint64_t>(flags.get_long("snapshot-every", 0));
+  config.snapshot_every = static_cast<std::uint64_t>(
+      bounded_flag(flags, "snapshot-every", 0, 0, kMaxLong));
   config.restore = flags.get_bool("restore", false);
   config.snapshot_deltas = flags.get_bool("snapshot-deltas", false);
   config.snapshot_delta_limit = static_cast<std::size_t>(
-      flags.get_long("snapshot-delta-limit", 16));
+      bounded_flag(flags, "snapshot-delta-limit", 16, 0, kMaxLong));
   config.announce_path = flags.get_string("announce", "");
   const double deadline_s = flags.get_duration("deadline", 0.0);
 

@@ -3,6 +3,7 @@
 // unbounded-at-zero utilities (inverse power 1 < alpha < 2, neg-log),
 // whose results live in the technical report [21]. We reproduce the
 // comparison for step, inverse-power and neg-log utilities.
+#include <algorithm>
 #include <iostream>
 
 #include "common.hpp"
@@ -28,10 +29,8 @@ double run_fixed_dedicated(const DedicatedSetting& s,
   core::SimOptions options;
   options.cache_capacity = s.rho;
   options.sticky_replicas = false;
-  options.initial_placement =
-      alloc::place_counts(alloc::round_counts(counts,
-                                              static_cast<int>(s.servers)),
-                          s.servers, s.rho, rng);
+  options.initial_placement = alloc::place_counts(counts, s.servers, s.rho,
+                                                  rng);
   core::StaticPolicy policy;
   return core::simulate(s.trace, s.catalog, u, policy, s.population, options,
                         rng)
@@ -40,28 +39,17 @@ double run_fixed_dedicated(const DedicatedSetting& s,
 
 double run_qcr_dedicated(const DedicatedSetting& s,
                          const utility::DelayUtility& u, util::Rng& rng) {
-  // Tuned, normalized and capped reaction as in core::run_qcr, but for
-  // the dedicated population.
-  const double servers = static_cast<double>(s.servers);
-  const double x_uniform = std::max(
-      1.0, s.rho * servers / static_cast<double>(s.catalog.num_items()));
-  const double psi_uniform =
-      utility::psi(u, s.mu, servers, servers / x_uniform);
-  const double scale = psi_uniform > 0.0 ? 0.25 / psi_uniform : 1.0;
-  utility::ReactionFunction reaction(u, s.mu, servers, scale);
-  const double burst_cap = s.rho;
-  core::QcrPolicy policy(
+  const core::QcrOptions qcr;
+  const auto policy = core::make_qcr_policy(
       "QCR",
-      [reaction, burst_cap, servers](double y) {
-        return std::min(reaction(std::min(y, servers)), burst_cap);
-      },
-      core::QcrPolicy::MandateRouting::kOn,
-      static_cast<long>(s.rho) * s.servers);
+      core::QcrReaction(utility::UtilitySet(u, s.catalog.num_items()), s.mu,
+                        static_cast<double>(s.servers), s.rho, qcr),
+      qcr);
   core::SimOptions options;
   options.cache_capacity = s.rho;
   options.sticky_replicas = true;
-  return core::simulate(s.trace, s.catalog, u, policy, s.population, options,
-                        rng)
+  return core::simulate(s.trace, s.catalog, u, *policy, s.population,
+                        options, rng)
       .observed_utility();
 }
 
@@ -106,26 +94,16 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"utility", "U(OPT)", "QCR loss%", "SQRT loss%",
                             "PROP loss%", "UNI loss%", "DOM loss%"});
   table.set_precision(4);
-  const double capacity_total = static_cast<double>(rho) * servers;
   for (const auto& c : cases) {
     alloc::HomogeneousModel model{mu, servers, clients,
                                   alloc::SystemMode::kDedicated};
     const auto& demand = s.catalog.demands();
     const auto opt = alloc::homogeneous_greedy(demand, *c.u, model,
                                                rho * static_cast<int>(servers));
-    const double sv = static_cast<double>(servers);
-    struct Alt {
-      const char* name;
-      alloc::ItemCounts counts;
-    };
-    std::vector<Alt> alts;
-    alts.push_back({"SQRT",
-                    alloc::sqrt_allocation(demand, capacity_total, sv)});
-    alts.push_back({"PROP",
-                    alloc::prop_allocation(demand, capacity_total, sv)});
-    alts.push_back({"UNI",
-                    alloc::uniform_allocation(items, capacity_total, sv)});
-    alts.push_back({"DOM", alloc::dom_allocation(demand, rho, sv)});
+    // Trials draw their rngs in the order SQRT, PROP, UNI, DOM.
+    auto alts = core::baseline_competitors(demand, rho,
+                                           static_cast<double>(servers));
+    std::rotate(alts.begin(), alts.begin() + 1, alts.begin() + 3);
 
     double u_opt = 0.0, u_qcr = 0.0;
     std::map<std::string, double> u_alt;

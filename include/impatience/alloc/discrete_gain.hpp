@@ -40,7 +40,9 @@ namespace impatience::alloc {
 struct DiscreteGainModel {
   double mu = 0.05;            ///< per-pair meeting probability per slot
   double num_nodes = 50;       ///< N: every node is server and client
-  trace::Slot horizon = 5000;  ///< T, in slots; must be > 0
+  /// T, in slots; the gain table needs T > 0 (core::MeanFieldModel, an
+  /// alias of this struct, reads T <= 0 as the continuous closed forms).
+  trace::Slot horizon = 5000;
   /// Geometric-tail truncation: summation stops once (1-q)^(k-1) falls
   /// below this (the dropped tail is O(eps * T * |h|)).
   double tail_epsilon = 1e-16;

@@ -49,6 +49,21 @@ struct NamedPlacement {
   alloc::Placement placement;
 };
 
+/// A named allocation in count space, integer-valued (ready for
+/// alloc::place_counts).
+struct NamedCounts {
+  std::string name;
+  alloc::ItemCounts counts;
+};
+
+/// The competitor set's fixed baselines, in order UNI, SQRT, PROP, DOM:
+/// capacity * num_servers replicas spread by the alloc heuristics with
+/// at most num_servers per item, UNI/SQRT/PROP rounded by round_counts.
+/// The one definition behind CompetitorPlan, mean_field_competitors and
+/// the dedicated-node harness; OPT is each caller's own.
+std::vector<NamedCounts> baseline_competitors(
+    const std::vector<double>& demand, int capacity, double num_servers);
+
 /// The paper's competitor set split at the RNG. The constructor does the
 /// work that is the same for every trial: the OPT solve (Lemma-1 lazy
 /// greedy on estimated rates, or Theorem-2 counts) and the rounded
@@ -70,11 +85,6 @@ class CompetitorPlan {
   std::vector<NamedPlacement> draw(util::Rng& rng) const;
 
  private:
-  struct Counts {
-    const char* name;
-    alloc::ItemCounts counts;  ///< integer-valued, ready for place_counts
-  };
-
   template <typename U>
   void plan(const Scenario& scenario, const U& utility, OptMode opt_mode);
 
@@ -83,7 +93,7 @@ class CompetitorPlan {
   /// OPT under kEstimated: a placement, so it needs no draw.
   std::optional<alloc::Placement> fixed_opt_;
   /// Drawn in this order (OPT first under kHomogeneous).
-  std::vector<Counts> counts_;
+  std::vector<NamedCounts> counts_;
 };
 
 /// The paper's competitor set, in order: OPT, UNI, SQRT, PROP, DOM.
@@ -111,37 +121,6 @@ SimulationResult run_fixed(const Scenario& scenario,
                            const std::string& name,
                            const alloc::Placement& placement,
                            const SimOptions& base_options, util::Rng& rng);
-
-struct QcrOptions {
-  bool mandate_routing = true;
-  /// Section 5.1's "replication with rewriting": meeting a node that
-  /// already holds the item consumes a mandate without copying. Off by
-  /// default (the paper's simulation choice).
-  bool rewriting = false;
-  /// Multiplier on the (auto-normalized) reaction function.
-  double reaction_scale = 1.0;
-  /// Property 2 fixes psi only up to a positive constant; the raw Table-1
-  /// forms can emit tens of replicas per fulfilment, which thrashes a
-  /// small global cache (the mean-field analysis assumes gentle flows).
-  /// When true (default), psi is rescaled so that a fulfilment at the
-  /// *uniform* allocation creates about `target_replicas_per_fulfillment`
-  /// replicas; the fixed point is scale-invariant, so this only affects
-  /// convergence speed vs steady-state noise.
-  bool auto_normalize_scale = true;
-  double target_replicas_per_fulfillment = 0.25;
-  /// Upper bound on replicas created by one fulfilment (0 = auto, the
-  /// per-node cache size rho). Steep reactions (power alpha << 0 have
-  /// psi ~ y^{1-alpha}) otherwise emit cache-sized bursts whenever an
-  /// item's counter spikes, which destabilizes small systems; the cap
-  /// binds only during such excursions, so the fixed point (Property 2)
-  /// is unchanged.
-  double max_replicas_per_fulfillment = 0.0;
-  /// Clamp the query counter fed to psi at |S|: with sticky seed copies
-  /// every item has x >= 1, so counter values beyond |S| carry no extra
-  /// information about the allocation (the implied estimate S/y would be
-  /// below the guaranteed floor of one replica).
-  bool clamp_counter_at_servers = true;
-};
 
 /// Runs a QCR trial (random initial fill + sticky seeds, reaction tuned
 /// to the scenario's utility/mu per Table 1).

@@ -3,32 +3,31 @@
 // with O(I) algebra per evaluation — the million-node fast path of
 // docs/perf.md §6.
 //
-// Two fidelities share one interface:
-//  - kDiscrete evaluates the exact finite-horizon slot model
+// Two fidelities share one interface, chosen by the sign of `horizon`:
+//  - horizon > 0 evaluates the exact finite-horizon slot model
 //    (alloc/discrete_gain.hpp): for FROZEN placements the prediction is
 //    the exact expectation of SimulationResult::observed_utility() over
 //    traces, not an asymptotic limit.
-//  - kContinuous evaluates item_gain()'s infinite-horizon continuous
+//  - horizon <= 0 evaluates item_gain()'s infinite-horizon continuous
 //    closed forms (the paper's analytical model, exact as mu -> 0).
 //
 // On top of the evaluator:
-//  - mean_field_greedy / mean_field_competitors mirror the simulator
-//    benches' OPT/UNI/SQRT/PROP/DOM construction in count space, so the
-//    fig4 normalized-loss sweep can run at N = 10^6 without a trace.
+//  - mean_field_competitors builds OPT/UNI/SQRT/PROP/DOM in count space,
+//    its baselines from the same baseline_competitors as the simulator
+//    benches, so the fig4 normalized-loss sweep can run at N = 10^6
+//    without a trace.
 //  - mean_field_qcr integrates the replica-fraction ODE of the QCR
 //    reaction dynamics (dx_i/dt = inflow from fulfilment reactions -
 //    proportional cache eviction) with an adaptive step-doubling RK4,
-//    mirroring run_qcr()'s reaction construction constant for constant.
-//    This one is an approximation (the stochastic counter y = N/x is
-//    replaced by its mean), validated against the event kernel in
+//    driven by run_qcr()'s own QcrReaction. This one is an
+//    approximation (the stochastic counter y = N/x is replaced by its
+//    mean), validated against the event kernel in
 //    tests/core/mean_field_test.cpp.
 //  - MeanFieldClassModel evaluates class-based (community) contact
 //    rates: hazard q_c = 1 - prod_c' (1 - mu_{c,c'})^{x_{c'}}.
 #pragma once
 
-#include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "impatience/alloc/allocation.hpp"
@@ -39,27 +38,12 @@
 
 namespace impatience::core {
 
-enum class MeanFieldFidelity {
-  kDiscrete,    ///< exact finite-horizon slot model (needs horizon > 0)
-  kContinuous,  ///< item_gain() closed forms, infinite horizon
-  kAutomatic,   ///< discrete when horizon > 0, else continuous
-};
-
-struct MeanFieldModel {
-  double mu = 0.05;            ///< per-pair meeting probability per slot
-  double num_nodes = 50;       ///< N (pure P2P)
-  trace::Slot horizon = 5000;  ///< T; <= 0 forces the continuous fidelity
-  MeanFieldFidelity fidelity = MeanFieldFidelity::kAutomatic;
-  double tail_epsilon = 1e-16;  ///< discrete-sum truncation threshold
-
-  bool discrete() const noexcept {
-    return fidelity == MeanFieldFidelity::kDiscrete ||
-           (fidelity == MeanFieldFidelity::kAutomatic && horizon > 0);
-  }
-};
+/// N, mu, T and the tail threshold of the pure-P2P slot model; a horizon
+/// T <= 0 selects the continuous closed forms.
+using MeanFieldModel = alloc::DiscreteGainModel;
 
 /// Precomputes the per-request gain curve g(x) once (a table over
-/// integer x for the discrete fidelity), then answers welfare queries in
+/// integer x when horizon > 0), then answers welfare queries in
 /// O(I) and marginals in O(1).
 class MeanFieldEvaluator {
  public:
@@ -80,8 +64,8 @@ class MeanFieldEvaluator {
 
  private:
   MeanFieldModel model_;
-  std::optional<alloc::DiscreteGainTable> table_;  // discrete fidelity
-  const utility::DelayUtility* utility_;           // continuous fidelity
+  std::optional<alloc::DiscreteGainTable> table_;  // horizon > 0
+  const utility::DelayUtility* utility_;           // horizon <= 0
 };
 
 /// Welfare rate of an allocation without keeping the evaluator.
@@ -91,21 +75,16 @@ double mean_field_welfare(const alloc::ItemCounts& counts,
                           const MeanFieldModel& m);
 
 /// Greedy marginal-gain allocation of `capacity` total replicas in count
-/// space (integer x_i in [0, N]); the mean-field OPT. Discrete fidelity
-/// runs a max-heap greedy over table marginals; continuous delegates to
+/// space (integer x_i in [0, N]); the mean-field OPT. With horizon > 0 it
+/// runs a max-heap greedy over table marginals; otherwise it delegates to
 /// alloc::homogeneous_greedy.
 alloc::ItemCounts mean_field_greedy(const std::vector<double>& demand,
                                     const utility::DelayUtility& u,
                                     const MeanFieldModel& m, long capacity);
 
-struct NamedCounts {
-  std::string name;
-  alloc::ItemCounts counts;
-};
-
-/// OPT/UNI/SQRT/PROP/DOM in count space, built exactly like the
-/// simulator competitors (same heuristics, same round_counts pipeline,
-/// per-item cap N), with capacity = cache_capacity * N total replicas.
+/// OPT/UNI/SQRT/PROP/DOM in count space with capacity = cache_capacity
+/// * N total replicas: mean_field_greedy's OPT, then
+/// baseline_competitors(demand, cache_capacity, N).
 std::vector<NamedCounts> mean_field_competitors(
     const std::vector<double>& demand, const utility::DelayUtility& u,
     const MeanFieldModel& m, int cache_capacity);
@@ -132,9 +111,8 @@ struct MeanFieldQcrResult {
 ///
 ///   dx_i/dt = d_i (1 - x_i/N) R_i(N/x_i)  -  W (x_i - 1) / sum_j (x_j - 1)
 ///
-/// where R_i is run_qcr()'s reaction (utility::ReactionFunction with the
-/// same auto-normalization, counter clamp and burst cap as
-/// build_reactions / run_qcr_impl) and W is total inflow, so total
+/// where R_i is QcrReaction(u for every item, mu, N, rho, qcr), the
+/// reaction run_qcr() simulates, and W is total inflow, so total
 /// replicas are conserved at rho N (caches stay full; eviction hits a
 /// uniformly random non-sticky replica). The sticky floor x_i >= 1 is an
 /// invariant of the field: outflow of item i vanishes as x_i -> 1.
@@ -160,7 +138,7 @@ struct MeanFieldClassModel {
 /// request sees hazard q_{i,c} = 1 - prod_c' (1 - mu_{c,c'})^{x_{c'}}
 /// and immediate-hit probability x_c / N_c; classes are weighted by
 /// N_c / N (uniform demand over all nodes). Exact in expectation for
-/// frozen placements, like the homogeneous discrete fidelity.
+/// frozen placements, like the homogeneous model with horizon > 0.
 double mean_field_welfare_classes(
     const std::vector<alloc::ItemCounts>& counts_by_class,
     const std::vector<double>& demand, const utility::DelayUtility& u,

@@ -5,13 +5,17 @@
 // have their caches preset and frozen).
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "impatience/core/node.hpp"
 #include "impatience/util/rng.hpp"
+#include "impatience/utility/reaction.hpp"
+#include "impatience/utility/utility_set.hpp"
 
 namespace impatience::core {
 
@@ -75,7 +79,7 @@ class QcrPolicy final : public ReplicationPolicy {
   ///        items — counters grow, each fulfilment emits a huge burst,
   ///        the burst evicts other items, which starves them further. A
   ///        backlog beyond the global cache size can never be useful, so
-  ///        callers should pass about rho * |S| (run_qcr does).
+  ///        callers should pass about rho * |S| (QcrReaction::mandate_cap).
   QcrPolicy(std::string name, ItemReaction reaction, MandateRouting routing,
             long per_item_mandate_cap = kDefaultMandateCap,
             Rewriting rewriting = Rewriting::kDisallowed);
@@ -114,6 +118,76 @@ class QcrPolicy final : public ReplicationPolicy {
   long replicas_written_ = 0;
   long mandates_rewritten_ = 0;
 };
+
+struct QcrOptions {
+  bool mandate_routing = true;
+  /// Section 5.1's "replication with rewriting": meeting a node that
+  /// already holds the item consumes a mandate without copying. Off by
+  /// default (the paper's simulation choice).
+  bool rewriting = false;
+  /// Multiplier on the (auto-normalized) reaction function.
+  double reaction_scale = 1.0;
+  /// Property 2 fixes psi only up to a positive constant; the raw Table-1
+  /// forms can emit tens of replicas per fulfilment, which thrashes a
+  /// small global cache (the mean-field analysis assumes gentle flows).
+  /// When true (default), psi is rescaled so that a fulfilment at the
+  /// *uniform* allocation creates about `target_replicas_per_fulfillment`
+  /// replicas; the fixed point is scale-invariant, so this only affects
+  /// convergence speed vs steady-state noise.
+  bool auto_normalize_scale = true;
+  double target_replicas_per_fulfillment = 0.25;
+  /// Upper bound on replicas created by one fulfilment (0 = auto, the
+  /// per-node cache size rho). Steep reactions (power alpha << 0 have
+  /// psi ~ y^{1-alpha}) otherwise emit cache-sized bursts whenever an
+  /// item's counter spikes, which destabilizes small systems; the cap
+  /// binds only during such excursions, so the fixed point (Property 2)
+  /// is unchanged.
+  double max_replicas_per_fulfillment = 0.0;
+  /// Clamp the query counter fed to psi at |S|: with sticky seed copies
+  /// every item has x >= 1, so counter values beyond |S| carry no extra
+  /// information about the allocation (the implied estimate S/y would be
+  /// below the guaranteed floor of one replica).
+  bool clamp_counter_at_servers = true;
+};
+
+/// The tuned QCR reaction: item i's Table-1 psi_i (Property 2) with the
+/// stabilizers of QcrOptions, i.e.
+///
+///   R_i(y) = min(scale_i * psi_i(min(y, |S|)), burst cap)
+///
+/// where scale_i is reaction_scale, times the auto-normalization at the
+/// uniform allocation x = max(1, rho |S| / I) when enabled. This is the
+/// one definition run by the simulator (run_qcr), the mean-field ODE
+/// (mean_field_qcr), replicationd's StateStore and the dedicated-node
+/// harness.
+class QcrReaction {
+ public:
+  /// @param num_servers |S| (N in pure P2P).
+  /// @param capacity    rho, the per-server cache size.
+  QcrReaction(const utility::UtilitySet& utilities, double mu,
+              double num_servers, int capacity, const QcrOptions& options);
+
+  /// R_item(y) for a query-counter value y > 0.
+  double operator()(ItemId item, double y) const {
+    return std::min(reactions_[item](std::min(y, counter_cap_)), burst_cap_);
+  }
+
+  /// rho * |S|: a node's mandate backlog for one item beyond the global
+  /// cache volume can never be useful.
+  long mandate_cap() const noexcept { return mandate_cap_; }
+
+ private:
+  std::vector<utility::ReactionFunction> reactions_;
+  double counter_cap_;
+  double burst_cap_;
+  long mandate_cap_;
+};
+
+/// QcrPolicy running `reaction`, with its mandate cap and the mandate
+/// routing and rewriting choices of `options`.
+std::unique_ptr<QcrPolicy> make_qcr_policy(std::string name,
+                                           QcrReaction reaction,
+                                           const QcrOptions& options);
 
 /// Passive replication: a fixed number of replicas per fulfilment
 /// (equilibrium: allocation proportional to demand; the dynamic analogue

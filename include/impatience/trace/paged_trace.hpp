@@ -35,21 +35,12 @@ namespace impatience::trace {
 void write_paged_trace(const ContactTrace& trace, const std::string& path,
                        std::size_t events_per_page = 4096);
 
-/// How PagedTraceReader touches the data section. kMmap maps the file
-/// and decodes pages in place (no per-page seek+read+copy); kStdio is
-/// the portable ifstream path. kAuto tries mmap and silently falls back
-/// to stdio where mapping is unavailable. The decoded event stream is
-/// bit-identical across modes (the tests lock this).
-enum class TraceIo { kAuto, kMmap, kStdio };
-
 /// Streams a paged trace file slot by slot. Keeps one decoded page in
 /// memory; a slot whose events span pages is assembled across page loads
 /// before being handed out, so batches still cover whole slots.
 class PagedTraceReader final : public EventSource {
  public:
-  explicit PagedTraceReader(const std::string& path,
-                            TraceIo io = TraceIo::kAuto);
-  ~PagedTraceReader() override;
+  explicit PagedTraceReader(const std::string& path);
 
   NodeId num_nodes() const override { return num_nodes_; }
   Slot duration() const override { return duration_; }
@@ -58,8 +49,6 @@ class PagedTraceReader final : public EventSource {
 
   std::size_t total_events() const noexcept { return num_events_; }
   std::size_t num_pages() const noexcept { return page_index_.size(); }
-  /// Resolved I/O mode: kMmap or kStdio (never kAuto).
-  TraceIo io_mode() const noexcept { return mode_; }
 
  private:
   struct PageInfo {
@@ -73,10 +62,6 @@ class PagedTraceReader final : public EventSource {
 
   std::ifstream file_;
   std::string path_;
-  TraceIo mode_ = TraceIo::kStdio;
-  int fd_ = -1;                    // mmap mode: open file descriptor
-  const char* map_ = nullptr;      // mmap mode: whole-file mapping
-  std::size_t map_size_ = 0;
   NodeId num_nodes_ = 0;
   Slot duration_ = 0;
   std::size_t num_events_ = 0;

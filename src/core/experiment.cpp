@@ -1,5 +1,4 @@
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -8,31 +7,6 @@
 namespace impatience::core {
 
 namespace {
-
-/// One tuned-and-capped reaction function per item (Property 2 + the
-/// stabilizers documented on QcrOptions).
-std::vector<utility::ReactionFunction> build_reactions(
-    const Scenario& scenario, const utility::UtilitySet& utilities,
-    const QcrOptions& qcr_options) {
-  const double servers = static_cast<double>(scenario.num_nodes());
-  const double x_uniform =
-      std::max(1.0, scenario.capacity * servers /
-                        static_cast<double>(scenario.catalog.num_items()));
-  std::vector<utility::ReactionFunction> reactions;
-  reactions.reserve(utilities.size());
-  for (std::size_t i = 0; i < utilities.size(); ++i) {
-    double scale = qcr_options.reaction_scale;
-    if (qcr_options.auto_normalize_scale) {
-      const double psi_uniform = utility::psi(utilities[i], scenario.mu,
-                                              servers, servers / x_uniform);
-      if (psi_uniform > 0.0) {
-        scale *= qcr_options.target_replicas_per_fulfillment / psi_uniform;
-      }
-    }
-    reactions.emplace_back(utilities[i], scenario.mu, servers, scale);
-  }
-  return reactions;
-}
 
 SimulationResult run_qcr_impl(const Scenario& scenario,
                               const utility::UtilitySet& utilities,
@@ -44,37 +18,37 @@ SimulationResult run_qcr_impl(const Scenario& scenario,
   options.sticky_replicas = true;
   options.initial_placement.reset();
 
-  const double servers = static_cast<double>(scenario.num_nodes());
-  const double burst_cap =
-      qcr_options.max_replicas_per_fulfillment > 0.0
-          ? qcr_options.max_replicas_per_fulfillment
-          : static_cast<double>(scenario.capacity);
-  const double counter_cap =
-      qcr_options.clamp_counter_at_servers
-          ? servers
-          : std::numeric_limits<double>::infinity();
-  const long mandate_cap =
-      static_cast<long>(scenario.capacity) * scenario.num_nodes();
-
-  auto reactions = std::make_shared<std::vector<utility::ReactionFunction>>(
-      build_reactions(scenario, utilities, qcr_options));
-  QcrPolicy policy(
+  const auto policy = make_qcr_policy(
       qcr_options.mandate_routing ? "QCR" : "QCR-noMR",
-      QcrPolicy::ItemReaction(
-          [reactions, burst_cap, counter_cap](ItemId item, double y) {
-            return std::min((*reactions)[item](std::min(y, counter_cap)),
-                            burst_cap);
-          }),
-      qcr_options.mandate_routing ? QcrPolicy::MandateRouting::kOn
-                                  : QcrPolicy::MandateRouting::kOff,
-      mandate_cap,
-      qcr_options.rewriting ? QcrPolicy::Rewriting::kAllowed
-                            : QcrPolicy::Rewriting::kDisallowed);
-  return simulate(scenario.trace, scenario.catalog, utilities, policy,
+      QcrReaction(utilities, scenario.mu,
+                  static_cast<double>(scenario.num_nodes()),
+                  scenario.capacity, qcr_options),
+      qcr_options);
+  return simulate(scenario.trace, scenario.catalog, utilities, *policy,
                   options, rng);
 }
 
 }  // namespace
+
+std::vector<NamedCounts> baseline_competitors(
+    const std::vector<double>& demand, int capacity, double num_servers) {
+  const double capacity_total = capacity * num_servers;
+  const auto cap_per_item = static_cast<int>(std::llround(num_servers));
+  auto rounded = [&](const char* name, const alloc::ItemCounts& real) {
+    return NamedCounts{name, alloc::round_counts(real, cap_per_item)};
+  };
+  std::vector<NamedCounts> out;
+  out.reserve(4);
+  out.push_back(rounded("UNI", alloc::uniform_allocation(
+                                   demand.size(), capacity_total, num_servers)));
+  out.push_back(rounded(
+      "SQRT", alloc::sqrt_allocation(demand, capacity_total, num_servers)));
+  out.push_back(rounded(
+      "PROP", alloc::prop_allocation(demand, capacity_total, num_servers)));
+  out.push_back(
+      {"DOM", alloc::dom_allocation(demand, capacity, num_servers)});
+  return out;
+}
 
 Scenario make_scenario(trace::ContactTrace trace, Catalog catalog,
                        int capacity) {
@@ -94,8 +68,6 @@ void CompetitorPlan::plan(const Scenario& scenario, const U& utility,
   const auto num_items = scenario.catalog.num_items();
   num_servers_ = scenario.num_nodes();
   capacity_ = scenario.capacity;
-  const double servers = static_cast<double>(num_servers_);
-  const double capacity_total = servers * capacity_;
 
   // OPT.
   if (opt_mode == OptMode::kHomogeneous) {
@@ -113,15 +85,10 @@ void CompetitorPlan::plan(const Scenario& scenario, const U& utility,
                                               nodes, num_items, capacity_);
   }
 
-  auto rounded = [&](const char* name, const alloc::ItemCounts& real) {
-    counts_.push_back(
-        {name, alloc::round_counts(real, static_cast<int>(servers))});
-  };
-  rounded("UNI", alloc::uniform_allocation(num_items, capacity_total, servers));
-  rounded("SQRT", alloc::sqrt_allocation(demand, capacity_total, servers));
-  rounded("PROP", alloc::prop_allocation(demand, capacity_total, servers));
-  counts_.push_back(
-      {"DOM", alloc::dom_allocation(demand, capacity_, servers)});
+  for (auto& baseline : baseline_competitors(
+           demand, capacity_, static_cast<double>(num_servers_))) {
+    counts_.push_back(std::move(baseline));
+  }
 }
 
 CompetitorPlan::CompetitorPlan(const Scenario& scenario,

@@ -6,11 +6,8 @@
 #include <queue>
 #include <stdexcept>
 
-#include "impatience/alloc/heuristics.hpp"
-#include "impatience/alloc/rounding.hpp"
 #include "impatience/alloc/solvers.hpp"
 #include "impatience/alloc/welfare.hpp"
-#include "impatience/utility/reaction.hpp"
 
 namespace impatience::core {
 namespace {
@@ -21,10 +18,6 @@ void validate_model(const MeanFieldModel& m) {
   }
   if (!(m.num_nodes >= 1.0)) {
     throw std::invalid_argument("MeanFieldModel: num_nodes must be >= 1");
-  }
-  if (m.discrete() && m.horizon <= 0) {
-    throw std::invalid_argument(
-        "MeanFieldModel: the discrete fidelity needs horizon > 0");
   }
 }
 
@@ -47,13 +40,8 @@ MeanFieldEvaluator::MeanFieldEvaluator(const utility::DelayUtility& u,
                                        const MeanFieldModel& m)
     : model_(m), utility_(&u) {
   validate_model(m);
-  if (model_.discrete()) {
-    alloc::DiscreteGainModel dm;
-    dm.mu = m.mu;
-    dm.num_nodes = m.num_nodes;
-    dm.horizon = m.horizon;
-    dm.tail_epsilon = m.tail_epsilon;
-    table_.emplace(u, dm, node_cap(m));
+  if (m.horizon > 0) {
+    table_.emplace(u, m, node_cap(m));
   } else if (!u.bounded_at_zero()) {
     // Same unbounded-at-zero failure mode as the table path.
     throw std::domain_error(
@@ -109,7 +97,7 @@ alloc::ItemCounts mean_field_greedy(const std::vector<double>& demand,
     throw std::invalid_argument(
         "mean_field_greedy: capacity exceeds num_items * num_nodes");
   }
-  if (!m.discrete()) {
+  if (m.horizon <= 0) {
     return alloc::homogeneous_greedy(demand, u, continuous_model(m),
                                      static_cast<int>(capacity));
   }
@@ -166,29 +154,15 @@ std::vector<NamedCounts> mean_field_competitors(
     throw std::invalid_argument(
         "mean_field_competitors: cache_capacity must be > 0");
   }
-  const double servers = m.num_nodes;
-  const double capacity_total = cache_capacity * servers;
-  const auto cap_int = static_cast<int>(node_cap(m));
-
   std::vector<NamedCounts> out;
   out.reserve(5);
-  out.push_back({"OPT", mean_field_greedy(
-                            demand, u, m,
-                            static_cast<long>(std::llround(capacity_total)))});
-  out.push_back(
-      {"UNI", alloc::round_counts(alloc::uniform_allocation(
-                                      demand.size(), capacity_total, servers),
-                                  cap_int)});
-  out.push_back(
-      {"SQRT", alloc::round_counts(
-                   alloc::sqrt_allocation(demand, capacity_total, servers),
-                   cap_int)});
-  out.push_back(
-      {"PROP", alloc::round_counts(
-                   alloc::prop_allocation(demand, capacity_total, servers),
-                   cap_int)});
-  out.push_back(
-      {"DOM", alloc::dom_allocation(demand, cache_capacity, servers)});
+  const long capacity_total =
+      static_cast<long>(std::llround(cache_capacity * m.num_nodes));
+  out.push_back({"OPT", mean_field_greedy(demand, u, m, capacity_total)});
+  for (auto& baseline :
+       baseline_competitors(demand, cache_capacity, m.num_nodes)) {
+    out.push_back(std::move(baseline));
+  }
   return out;
 }
 
@@ -217,26 +191,10 @@ MeanFieldQcrResult mean_field_qcr(const std::vector<double>& demand,
         "mean_field_qcr: capacity below one sticky replica per item");
   }
 
-  // Reaction construction, mirroring run_qcr()'s build_reactions /
-  // run_qcr_impl constant for constant (S = N in pure P2P).
-  const double x_uniform =
-      std::max(1.0, cache_capacity * N / static_cast<double>(num_items));
-  double scale = qcr.reaction_scale;
-  if (qcr.auto_normalize_scale) {
-    const double psi_uniform = utility::psi(u, m.mu, N, N / x_uniform);
-    if (psi_uniform > 0.0) {
-      scale *= qcr.target_replicas_per_fulfillment / psi_uniform;
-    }
-  }
-  const utility::ReactionFunction reaction(u, m.mu, N, scale);
-  const double burst_cap = qcr.max_replicas_per_fulfillment > 0.0
-                               ? qcr.max_replicas_per_fulfillment
-                               : static_cast<double>(cache_capacity);
-  const double counter_cap = qcr.clamp_counter_at_servers
-                                 ? N
-                                 : std::numeric_limits<double>::infinity();
+  const QcrReaction reaction(utility::UtilitySet(u, num_items), m.mu, N,
+                             cache_capacity, qcr);
 
-  // dx_i/dt = d_i (1 - x_i/N) min(psi(min(N/x_i, cap)), burst) - eviction.
+  // dx_i/dt = d_i (1 - x_i/N) R_i(N/x_i) - eviction.
   // Each created replica evicts a uniformly random non-sticky replica
   // (caches stay full), so outflow_i = W (x_i - 1) / sum_j (x_j - 1)
   // with W the total inflow: the total is conserved at rho N and the
@@ -248,8 +206,8 @@ MeanFieldQcrResult mean_field_qcr(const std::vector<double>& demand,
     double free_total = 0.0;
     for (std::size_t i = 0; i < num_items; ++i) {
       const double xi = std::clamp(x[i], 1.0, N);
-      const double y = std::min(std::max(N / xi, 1.0), counter_cap);
-      const double r = std::min(reaction(y), burst_cap);
+      const double r =
+          reaction(static_cast<ItemId>(i), std::max(N / xi, 1.0));
       dx[i] = demand[i] * (1.0 - xi / N) * r;  // inflow, for now
       inflow_total += dx[i];
       free_total += xi - 1.0;

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "impatience/core/policy.hpp"
@@ -29,6 +30,50 @@ QcrPolicy::QcrPolicy(std::string name,
                 })
                          : ItemReaction(),
                 routing, per_item_mandate_cap, rewriting) {}
+
+QcrReaction::QcrReaction(const utility::UtilitySet& utilities, double mu,
+                         double num_servers, int capacity,
+                         const QcrOptions& options)
+    : counter_cap_(options.clamp_counter_at_servers
+                       ? num_servers
+                       : std::numeric_limits<double>::infinity()),
+      burst_cap_(options.max_replicas_per_fulfillment > 0.0
+                     ? options.max_replicas_per_fulfillment
+                     : static_cast<double>(capacity)),
+      mandate_cap_(static_cast<long>(capacity) *
+                   static_cast<long>(num_servers)) {
+  const double x_uniform = std::max(
+      1.0, capacity * num_servers / static_cast<double>(utilities.size()));
+  reactions_.reserve(utilities.size());
+  for (std::size_t i = 0; i < utilities.size(); ++i) {
+    double scale = options.reaction_scale;
+    if (options.auto_normalize_scale) {
+      const double psi_uniform = utility::psi(utilities[i], mu, num_servers,
+                                              num_servers / x_uniform);
+      if (psi_uniform > 0.0) {
+        scale *= options.target_replicas_per_fulfillment / psi_uniform;
+      }
+    }
+    reactions_.emplace_back(utilities[i], mu, num_servers, scale);
+  }
+}
+
+std::unique_ptr<QcrPolicy> make_qcr_policy(std::string name,
+                                           QcrReaction reaction,
+                                           const QcrOptions& options) {
+  const long mandate_cap = reaction.mandate_cap();
+  auto shared = std::make_shared<const QcrReaction>(std::move(reaction));
+  return std::make_unique<QcrPolicy>(
+      std::move(name),
+      QcrPolicy::ItemReaction([shared](ItemId item, double y) {
+        return (*shared)(item, y);
+      }),
+      options.mandate_routing ? QcrPolicy::MandateRouting::kOn
+                              : QcrPolicy::MandateRouting::kOff,
+      mandate_cap,
+      options.rewriting ? QcrPolicy::Rewriting::kAllowed
+                        : QcrPolicy::Rewriting::kDisallowed);
+}
 
 void QcrPolicy::on_fulfillment(Node& requester, Node& /*provider*/,
                                ItemId item, long query_count,

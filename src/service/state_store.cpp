@@ -14,7 +14,6 @@
 #include "impatience/stats/percentile.hpp"
 #include "impatience/util/errors.hpp"
 #include "impatience/utility/factory.hpp"
-#include "impatience/utility/reaction.hpp"
 
 namespace impatience::service {
 
@@ -81,21 +80,18 @@ StateStore::StateStore(const StoreConfig& config, std::uint64_t seed)
     : config_(config),
       seed_(seed),
       utilities_(*make_store_utility(config_), config_.num_items) {
-  // Same stabilizers as core::run_qcr: clamp the counter at |S|, cap one
-  // fulfilment's burst at rho, bound any node's backlog by the global
-  // cache volume.
-  const double servers = static_cast<double>(config_.num_nodes);
-  const double burst_cap = static_cast<double>(config_.cache_capacity);
-  auto reaction = std::make_shared<utility::ReactionFunction>(
-      utilities_[0], config_.mu, servers, config_.reaction_scale);
-  policy_ = std::make_unique<core::QcrPolicy>(
+  // run_qcr's reaction without the auto-normalization: the store's psi is
+  // the raw Table-1 form times reaction_scale.
+  core::QcrOptions qcr;
+  qcr.mandate_routing = config_.mandate_routing;
+  qcr.reaction_scale = config_.reaction_scale;
+  qcr.auto_normalize_scale = false;
+  policy_ = core::make_qcr_policy(
       "QCR-service",
-      std::function<double(double)>([reaction, servers, burst_cap](double y) {
-        return std::min((*reaction)(std::min(y, servers)), burst_cap);
-      }),
-      config_.mandate_routing ? core::QcrPolicy::MandateRouting::kOn
-                              : core::QcrPolicy::MandateRouting::kOff,
-      static_cast<long>(config_.cache_capacity) * config_.num_nodes);
+      core::QcrReaction(utilities_, config_.mu,
+                        static_cast<double>(config_.num_nodes),
+                        config_.cache_capacity, qcr),
+      qcr);
   init_fresh();
 }
 

@@ -1,10 +1,5 @@
 #include "impatience/trace/paged_trace.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <cstring>
 #include <stdexcept>
 
@@ -30,8 +25,7 @@ void put_varint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-/// Varint cursor over raw bytes — a vector the stdio path read, or a
-/// window straight into the mmap'd file (in-place decode, no copy).
+/// Varint cursor over one page's raw bytes.
 class ByteReader {
  public:
   ByteReader(const char* data, std::size_t size, const std::string& path)
@@ -139,7 +133,7 @@ void write_paged_trace(const ContactTrace& trace, const std::string& path,
   }
 }
 
-PagedTraceReader::PagedTraceReader(const std::string& path, TraceIo io)
+PagedTraceReader::PagedTraceReader(const std::string& path)
     : file_(path, std::ios::binary), path_(path) {
   if (!file_) {
     throw std::runtime_error("PagedTraceReader: cannot open " + path);
@@ -177,42 +171,6 @@ PagedTraceReader::PagedTraceReader(const std::string& path, TraceIo io)
                              path);
   }
   data_begin_ = static_cast<std::uint64_t>(file_.tellg());
-
-  if (io != TraceIo::kStdio) {
-    // Map the whole file once; pages then decode in place with no
-    // per-page seek+read+copy. The header was already parsed via the
-    // stream so both modes share one parser.
-    fd_ = ::open(path.c_str(), O_RDONLY);
-    struct stat st{};
-    if (fd_ >= 0 && ::fstat(fd_, &st) == 0 &&
-        static_cast<std::uint64_t>(st.st_size) >= data_begin_) {
-      void* map = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd_, 0);
-      if (map != MAP_FAILED) {
-        map_ = static_cast<const char*>(map);
-        map_size_ = static_cast<std::size_t>(st.st_size);
-        mode_ = TraceIo::kMmap;
-      }
-    }
-    if (mode_ != TraceIo::kMmap) {
-      if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-      }
-      if (io == TraceIo::kMmap) {
-        throw std::runtime_error("PagedTraceReader: cannot mmap " + path);
-      }
-      // kAuto: fall back to the stdio path below.
-    }
-  }
-  if (mode_ != TraceIo::kMmap) mode_ = TraceIo::kStdio;
-}
-
-PagedTraceReader::~PagedTraceReader() {
-  if (map_ != nullptr) {
-    ::munmap(const_cast<char*>(map_), map_size_);
-  }
-  if (fd_ >= 0) ::close(fd_);
 }
 
 void PagedTraceReader::load_next_page() {
@@ -220,42 +178,26 @@ void PagedTraceReader::load_next_page() {
   const std::uint64_t end_offset = next_page_ + 1 < page_index_.size()
                                        ? page_index_[next_page_ + 1].offset
                                        : std::uint64_t(-1);
-  const char* data = nullptr;
-  std::size_t size = 0;
   std::vector<char> bytes;
-  if (mode_ == TraceIo::kMmap) {
-    const std::uint64_t begin = data_begin_ + page.offset;
-    const std::uint64_t end = end_offset != std::uint64_t(-1)
-                                  ? data_begin_ + end_offset
-                                  : map_size_;
-    if (begin > end || end > map_size_) {
-      throw std::runtime_error("PagedTraceReader: truncated page in " + path_);
+  file_.seekg(static_cast<std::streamoff>(data_begin_ + page.offset));
+  if (end_offset != std::uint64_t(-1)) {
+    bytes.resize(end_offset - page.offset);
+    file_.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!file_) {
+      throw std::runtime_error("PagedTraceReader: truncated page in " +
+                               path_);
     }
-    data = map_ + begin;
-    size = static_cast<std::size_t>(end - begin);
   } else {
-    file_.seekg(static_cast<std::streamoff>(data_begin_ + page.offset));
-    if (end_offset != std::uint64_t(-1)) {
-      bytes.resize(end_offset - page.offset);
-      file_.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      if (!file_) {
-        throw std::runtime_error("PagedTraceReader: truncated page in " +
-                                 path_);
-      }
-    } else {
-      // Last page: read to EOF.
-      std::vector<char> chunk(64 * 1024);
-      while (file_.read(chunk.data(),
-                        static_cast<std::streamsize>(chunk.size())) ||
-             file_.gcount() > 0) {
-        bytes.insert(bytes.end(), chunk.begin(),
-                     chunk.begin() + file_.gcount());
-        if (file_.eof()) break;
-      }
-      file_.clear();
+    // Last page: read to EOF.
+    std::vector<char> chunk(64 * 1024);
+    while (file_.read(chunk.data(),
+                      static_cast<std::streamsize>(chunk.size())) ||
+           file_.gcount() > 0) {
+      bytes.insert(bytes.end(), chunk.begin(),
+                   chunk.begin() + file_.gcount());
+      if (file_.eof()) break;
     }
-    data = bytes.data();
-    size = bytes.size();
+    file_.clear();
   }
 
   // Compact already-served events before appending the new page.
@@ -264,7 +206,7 @@ void PagedTraceReader::load_next_page() {
                   buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
     head_ = 0;
   }
-  ByteReader reader(data, size, path_);
+  ByteReader reader(bytes.data(), bytes.size(), path_);
   Slot prev = page.first_slot;
   for (std::uint64_t k = 0; k < page.count; ++k) {
     const Slot slot = prev + static_cast<Slot>(reader.varint());

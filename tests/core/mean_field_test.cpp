@@ -277,9 +277,8 @@ TEST(CensoredDiscreteGain, ConvergesToContinuousClosedFormForSmallMu) {
   discrete.mu = 0.002;
   discrete.num_nodes = 200;
   discrete.horizon = 40000;
-  discrete.fidelity = MeanFieldFidelity::kDiscrete;
   MeanFieldModel continuous = discrete;
-  continuous.fidelity = MeanFieldFidelity::kContinuous;
+  continuous.horizon = 0;  // the continuous closed forms
   const MeanFieldEvaluator d(u, discrete);
   const MeanFieldEvaluator c(u, continuous);
   for (double x : {1.0, 5.0, 20.0, 80.0}) {

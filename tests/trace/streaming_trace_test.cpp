@@ -184,55 +184,6 @@ TEST(PagedTrace, RejectsEmptyPageSize) {
                std::invalid_argument);
 }
 
-TEST(PagedTrace, MmapAndStdioDecodeBitIdentically) {
-  // The I/O mode is a pure transport choice: mapped in-place decode and
-  // the seek+read stdio path must hand out the same events, page for
-  // page, including slots straddling page boundaries (page size 2).
-  util::Rng gen(55);
-  const auto tr = generate_poisson({18, 250, 0.15}, gen);
-  const std::string path = temp_path("paged_iomode.bin");
-  for (std::size_t page : {std::size_t{2}, std::size_t{64}}) {
-    write_paged_trace(tr, path, page);
-
-    PagedTraceReader mapped(path, TraceIo::kMmap);
-    EXPECT_EQ(mapped.io_mode(), TraceIo::kMmap);
-    PagedTraceReader streamed(path, TraceIo::kStdio);
-    EXPECT_EQ(streamed.io_mode(), TraceIo::kStdio);
-
-    const auto from_map = drain(mapped);
-    expect_same_events(from_map, tr.events());
-    expect_same_events(drain(streamed), from_map);
-  }
-  // kAuto resolves to one of the two concrete modes and still matches.
-  PagedTraceReader auto_reader(path, TraceIo::kAuto);
-  EXPECT_NE(auto_reader.io_mode(), TraceIo::kAuto);
-  expect_same_events(drain(auto_reader), tr.events());
-  std::remove(path.c_str());
-}
-
-TEST(PagedTrace, MmapModeRejectsTruncatedData) {
-  util::Rng gen(66);
-  const auto tr = generate_poisson({10, 100, 0.1}, gen);
-  const std::string path = temp_path("paged_iomode_trunc.bin");
-  write_paged_trace(tr, path, 8);
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-  bytes.resize(bytes.size() - bytes.size() / 4);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  EXPECT_THROW(
-      {
-        PagedTraceReader reader(path, TraceIo::kMmap);
-        drain(reader);
-      },
-      std::runtime_error);
-  std::remove(path.c_str());
-}
-
 // --------------------------------------------------------------------
 // Kernel bit-identity: simulate() from any EventSource must equal the
 // materialized run draw for draw.
