@@ -114,26 +114,20 @@ int main(int argc, char** argv) {
   // the truth.
   auto run_qcr_planned_vs_true = [&](const utility::DelayUtility& planning,
                                      util::Rng& r) {
-    const double servers = static_cast<double>(nodes);
-    const double x_uniform = 5.0;  // rho * |S| / I with I = |S|
-    const double psi_u =
-        utility::psi(planning, scenario.mu, servers, servers / x_uniform);
-    utility::ReactionFunction reaction(planning, scenario.mu, servers,
-                                       psi_u > 0.0 ? 0.25 / psi_u : 1.0);
-    core::QcrPolicy policy(
+    const core::QcrOptions qcr;
+    const auto policy = core::make_qcr_policy(
         "QCR",
-        [reaction, servers](double y) {
-          return std::min(reaction(std::min(y, servers)), 5.0);
-        },
-        core::QcrPolicy::MandateRouting::kOn,
-        static_cast<long>(5) * nodes);
+        core::QcrReaction(
+            utility::UtilitySet(planning, scenario.catalog.num_items()),
+            scenario.mu, static_cast<double>(nodes), scenario.capacity, qcr),
+        qcr);
     core::SimOptions options;
     options.cache_capacity = 5;
     double total = 0.0;
     for (int t = 0; t < trials; ++t) {
       util::Rng tr = r.split();
       total += core::simulate(scenario.trace, scenario.catalog, truth,
-                              policy, options, tr)
+                              *policy, options, tr)
                    .observed_utility();
     }
     return total / trials;

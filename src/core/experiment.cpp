@@ -39,8 +39,9 @@ std::vector<NamedCounts> baseline_competitors(
   };
   std::vector<NamedCounts> out;
   out.reserve(4);
-  out.push_back(rounded("UNI", alloc::uniform_allocation(
-                                   demand.size(), capacity_total, num_servers)));
+  out.push_back(rounded("UNI", alloc::uniform_allocation(demand.size(),
+                                                        capacity_total,
+                                                        num_servers)));
   out.push_back(rounded(
       "SQRT", alloc::sqrt_allocation(demand, capacity_total, num_servers)));
   out.push_back(rounded(
