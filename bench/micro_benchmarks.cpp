@@ -11,7 +11,6 @@
 #include "impatience/alloc/solvers.hpp"
 #include "impatience/core/experiment.hpp"
 #include "impatience/core/mean_field.hpp"
-#include "impatience/trace/event_source.hpp"
 #include "impatience/trace/generators.hpp"
 #include "impatience/util/math.hpp"
 #include "impatience/utility/cached_transform.hpp"
@@ -726,82 +725,6 @@ void BM_MeanFieldFig4(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeanFieldFig4);
-
-// Streaming-trace pair (docs/perf.md §6): a full STATIC trial including
-// trace acquisition — materialize the whole ContactTrace first vs pull
-// slot batches from the O(1)-memory GeneratedSource while simulating.
-// Same generator draws, bit-identical results (checked untimed).
-constexpr trace::PoissonTraceParams kStreamParams{100, 2000, 0.05};
-
-const alloc::Placement& stream_placement() {
-  static const alloc::Placement placement = [] {
-    const auto counts = alloc::round_counts(
-        alloc::uniform_allocation(
-            kMfItems,
-            kMfCapacity * static_cast<double>(kStreamParams.num_nodes),
-            kStreamParams.num_nodes),
-        static_cast<int>(kStreamParams.num_nodes));
-    util::Rng prng(2031);
-    return alloc::place_counts(counts, kStreamParams.num_nodes, kMfCapacity,
-                               prng);
-  }();
-  return placement;
-}
-
-core::SimOptions stream_options() {
-  core::SimOptions sim;
-  sim.cache_capacity = kMfCapacity;
-  sim.sticky_replicas = false;
-  sim.initial_placement = stream_placement();
-  return sim;
-}
-
-void BM_MaterializedTrace(benchmark::State& state) {
-  const auto catalog = core::Catalog::pareto(kMfItems, 1.0, 1.0);
-  const utility::StepUtility u(10.0);
-  const auto sim = stream_options();
-  core::StaticPolicy policy;
-  for (auto _ : state) {
-    util::Rng gen(4040);
-    const auto tr = trace::generate_poisson(kStreamParams, gen);
-    util::Rng r(14);
-    benchmark::DoNotOptimize(core::simulate(tr, catalog, u, policy, sim, r));
-  }
-  state.SetItemsProcessed(state.iterations() * kStreamParams.duration);
-}
-BENCHMARK(BM_MaterializedTrace)->Unit(benchmark::kMillisecond);
-
-void BM_StreamingTrace(benchmark::State& state) {
-  const auto catalog = core::Catalog::pareto(kMfItems, 1.0, 1.0);
-  const utility::StepUtility u(10.0);
-  const utility::UtilitySet utilities(u, catalog.num_items());
-  const auto population = core::Population::pure_p2p(kStreamParams.num_nodes);
-  const auto sim = stream_options();
-  core::StaticPolicy policy;
-  for (auto _ : state) {
-    trace::GeneratedSource source(kStreamParams, util::Rng(4040));
-    util::Rng r(14);
-    benchmark::DoNotOptimize(core::simulate(source, catalog, utilities,
-                                            policy, population, sim, r));
-  }
-  state.SetItemsProcessed(state.iterations() * kStreamParams.duration);
-  // Acceptance check (untimed): the streamed run must be bit-identical
-  // to the materialized one for the same generator seed.
-  util::Rng gen(4040);
-  const auto tr = trace::generate_poisson(kStreamParams, gen);
-  util::Rng r1(14);
-  const auto a = core::simulate(tr, catalog, u, policy, sim, r1);
-  trace::GeneratedSource source(kStreamParams, util::Rng(4040));
-  util::Rng r2(14);
-  const auto b =
-      core::simulate(source, catalog, utilities, policy, population, sim, r2);
-  if (a.total_gain != b.total_gain || a.fulfillments != b.fulfillments ||
-      a.requests_created != b.requests_created ||
-      a.final_counts != b.final_counts) {
-    state.SkipWithError("streamed run diverged from materialized trace");
-  }
-}
-BENCHMARK(BM_StreamingTrace)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatorStatic(benchmark::State& state) {
   util::Rng rng(7);

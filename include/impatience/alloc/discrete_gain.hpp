@@ -92,11 +92,4 @@ class DiscreteGainTable {
   std::vector<double> gain_;  // gain_[k] = g(k)
 };
 
-/// Convenience: welfare rate of integer-ish counts without keeping the
-/// table around.
-double welfare_homogeneous_discrete(const ItemCounts& counts,
-                                    const std::vector<double>& demand,
-                                    const utility::DelayUtility& u,
-                                    const DiscreteGainModel& m);
-
 }  // namespace impatience::alloc

@@ -89,15 +89,6 @@ std::vector<NamedCounts> mean_field_competitors(
     const std::vector<double>& demand, const utility::DelayUtility& u,
     const MeanFieldModel& m, int cache_capacity);
 
-/// Adaptive-RK controls for mean_field_qcr.
-struct MeanFieldOdeOptions {
-  double rel_tol = 1e-6;
-  double abs_tol = 1e-9;
-  double initial_step = 1.0;  ///< slots
-  double max_step = 0.0;      ///< 0 = horizon / 16
-  long max_steps = 200000;
-};
-
 struct MeanFieldQcrResult {
   alloc::ItemCounts final_counts;  ///< x_i(T)
   double mean_welfare_rate = 0.0;  ///< time-average of sum_i d_i g(x_i(t))
@@ -119,8 +110,7 @@ struct MeanFieldQcrResult {
 MeanFieldQcrResult mean_field_qcr(const std::vector<double>& demand,
                                   const utility::DelayUtility& u,
                                   const MeanFieldModel& m, int cache_capacity,
-                                  const QcrOptions& qcr = {},
-                                  const MeanFieldOdeOptions& ode = {});
+                                  const QcrOptions& qcr = {});
 
 /// Class-based (community) contact structure: node classes c with sizes
 /// N_c and symmetric per-pair meeting probabilities rates[c][c'] per

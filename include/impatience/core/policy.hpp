@@ -143,11 +143,6 @@ struct QcrOptions {
   /// binds only during such excursions, so the fixed point (Property 2)
   /// is unchanged.
   double max_replicas_per_fulfillment = 0.0;
-  /// Clamp the query counter fed to psi at |S|: with sticky seed copies
-  /// every item has x >= 1, so counter values beyond |S| carry no extra
-  /// information about the allocation (the implied estimate S/y would be
-  /// below the guaranteed floor of one replica).
-  bool clamp_counter_at_servers = true;
 };
 
 /// The tuned QCR reaction: item i's Table-1 psi_i (Property 2) with the
@@ -156,8 +151,11 @@ struct QcrOptions {
 ///   R_i(y) = min(scale_i * psi_i(min(y, |S|)), burst cap)
 ///
 /// where scale_i is reaction_scale, times the auto-normalization at the
-/// uniform allocation x = max(1, rho |S| / I) when enabled. This is the
-/// one definition run by the simulator (run_qcr), the mean-field ODE
+/// uniform allocation x = max(1, rho |S| / I) when enabled. The query
+/// counter is clamped at |S|: with sticky seed copies every item has
+/// x >= 1, so counter values beyond |S| carry no extra information about
+/// the allocation (the implied estimate S/y would be below the guaranteed
+/// floor of one replica). This is the one definition run by the simulator (run_qcr), the mean-field ODE
 /// (mean_field_qcr), replicationd's StateStore and the dedicated-node
 /// harness.
 class QcrReaction {

@@ -15,7 +15,6 @@
 #include "impatience/core/policy.hpp"
 #include "impatience/fault/fault.hpp"
 #include "impatience/trace/contact.hpp"
-#include "impatience/trace/event_source.hpp"
 #include "impatience/util/errors.hpp"
 #include "impatience/utility/delay_utility.hpp"
 #include "impatience/utility/utility_set.hpp"
@@ -118,26 +117,15 @@ struct SimOptions {
   const util::CancellationToken* cancel = nullptr;
 };
 
-/// Runs one simulation trial with per-item delay-utilities h_i, driven
-/// by a trace::EventSource. The delay fed to the utility is (fulfilment
-/// slot - creation slot + 1): the discrete-time contact model charges at
-/// least one slot per meeting-based fulfilment (Lemma 1). Immediate
-/// own-cache hits at request creation gain h_i(0+).
+/// Runs one simulation trial over `trace` with per-item delay-utilities
+/// h_i. The delay fed to the utility is (fulfilment slot - creation
+/// slot + 1): the discrete-time contact model charges at least one slot
+/// per meeting-based fulfilment (Lemma 1). Immediate own-cache hits at
+/// request creation gain h_i(0+).
 ///
-/// Both kernels consume the feed one slot batch at a time, so peak
-/// memory is O(largest slot batch) rather than O(total events). The
-/// source is single-pass and is left drained. Bit-identity: a
-/// GeneratedSource seeded like the generator run (or a MaterializedSource
-/// over the generated trace, or a PagedTraceReader over its file)
-/// produces results bit-identical to the ContactTrace overloads for the
-/// same simulation rng, kernel and fault config.
-SimulationResult simulate(trace::EventSource& source, const Catalog& catalog,
-                          const utility::UtilitySet& utilities,
-                          ReplicationPolicy& policy,
-                          const Population& population,
-                          const SimOptions& options, util::Rng& rng);
-
-/// Materialized trace: runs the overload above on a MaterializedSource.
+/// Both kernels deliver a slot's meetings as that slot's
+/// trace.slot_events() run, in trace order. The trace is read in place,
+/// never copied.
 SimulationResult simulate(const trace::ContactTrace& trace,
                           const Catalog& catalog,
                           const utility::UtilitySet& utilities,

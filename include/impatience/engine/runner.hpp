@@ -27,10 +27,8 @@ namespace impatience::engine {
 struct RunnerOptions {
   /// Worker threads; values < 1 mean hardware concurrency.
   int threads = 0;
-  /// Progress + ETA lines on stderr while jobs run.
+  /// Progress + ETA lines on stderr while jobs run, one per second.
   bool progress = false;
-  /// Seconds between progress updates.
-  double progress_interval_seconds = 1.0;
   /// Per-job wall-clock deadline (seconds); <= 0 disables the watchdog.
   /// On expiry the job's CancellationToken fires; cooperative closures
   /// unwind with util::CancelledError, recorded as ErrorKind::timeout.
@@ -41,10 +39,9 @@ struct RunnerOptions {
   int max_attempts = 1;
   /// Base delay of the seeded exponential backoff between attempts
   /// (seconds, doubled per retry, +/-50% deterministic jitter drawn from
-  /// the job seed); <= 0 retries immediately.
+  /// the job seed); <= 0 retries immediately. A single delay is capped
+  /// at one second.
   double backoff_base_seconds = 0.01;
-  /// Cap on a single backoff delay (seconds).
-  double backoff_max_seconds = 1.0;
 };
 
 /// Everything a batch produced: per-job records in submission order plus

@@ -33,6 +33,9 @@ class Flags {
 
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
+  /// Numeric flags: `fallback` when absent; a present value must parse
+  /// in full ("80x", "1e6" as an integer, "0.05abc" are rejected) or
+  /// std::invalid_argument naming the flag is thrown.
   int get_int(const std::string& key, int fallback) const;
   long get_long(const std::string& key, long fallback) const;
   double get_double(const std::string& key, double fallback) const;

@@ -4,8 +4,9 @@
 # ctest suite. UBSan findings are fatal twice over: the build passes
 # -fno-sanitize-recover=undefined (CMakeLists.txt) and UBSAN_OPTIONS asks
 # for halt_on_error, so any report fails the test that triggered it. The
-# PagedTraceReader page decode, the LEB128 varints and the lenient line
-# parsers are the code this sweep exists for.
+# snapshot, delta and manifest readers, the wire protocol's line
+# classifier and the lenient trace parsers are the code this sweep exists
+# for.
 #
 # Equivalent presets flow (CMake >= 3.21):
 #   cmake --preset asan-ubsan && cmake --build --preset asan-ubsan -j \

@@ -9,9 +9,9 @@
 # or their thread-safety assumptions — the lazy-refresh MarginalOracle
 # and the welfare-probe listeners run inside engine-parallel trials, and
 # the daemon's ingest/monitor/snapshot threads share the versioned state
-# store, so they belong in this sweep too. trace_streaming_test,
-# core_mean_field_test and the service-vs-simulator meeting differential
-# test ride along under the `sim` label. Every target whose tests carry
+# store, so they belong in this sweep too. core_mean_field_test and the
+# service-vs-simulator meeting differential test ride along under the
+# `sim` label. Every target whose tests carry
 # one of these labels must be built here: gtest_add_tests registers its
 # cases at configure time, so an unbuilt target shows up as "Not Run".
 #
@@ -30,7 +30,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
   engine_seeding_test engine_thread_pool_test engine_runner_test \
   engine_artifacts_test engine_sim_parallel_test engine_retry_test \
   fault_plan_test fault_sim_test core_kernel_equivalence_test \
-  core_mean_field_test trace_streaming_test \
+  core_mean_field_test \
   alloc_oracle_test utility_cached_transform_test core_simulator_test \
   service_protocol_test service_state_store_test service_daemon_test \
   service_feeder_test service_ingest_fuzz_test service_snapshot_delta_test \

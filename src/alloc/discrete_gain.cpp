@@ -162,27 +162,4 @@ double DiscreteGainTable::welfare_rate(
   return total;
 }
 
-double welfare_homogeneous_discrete(const ItemCounts& counts,
-                                    const std::vector<double>& demand,
-                                    const utility::DelayUtility& u,
-                                    const DiscreteGainModel& m) {
-  validate(m);
-  const double h0 = bounded_value_at_zero(u);
-  if (counts.x.size() != demand.size()) {
-    throw std::invalid_argument(
-        "welfare_homogeneous_discrete: counts/demand size mismatch");
-  }
-  double total = 0.0;
-  for (std::size_t i = 0; i < demand.size(); ++i) {
-    const double xc = std::min(std::max(counts.x[i], 0.0), m.num_nodes);
-    const double q = 1.0 - std::pow(1.0 - m.mu, xc);
-    const double immediate = xc / m.num_nodes;
-    total += demand[i] *
-             (immediate * h0 +
-              (1.0 - immediate) *
-                  censored_geometric_gain(u, q, m.horizon, m.tail_epsilon));
-  }
-  return total;
-}
-
 }  // namespace impatience::alloc

@@ -12,6 +12,13 @@
 namespace impatience::core {
 namespace {
 
+// Step-doubling RK4 controls of mean_field_qcr. The largest step is
+// horizon / 16.
+constexpr double kOdeRelTol = 1e-6;
+constexpr double kOdeAbsTol = 1e-9;
+constexpr double kOdeInitialStep = 1.0;  // slots
+constexpr long kOdeMaxSteps = 200000;
+
 void validate_model(const MeanFieldModel& m) {
   if (!(m.mu >= 0.0) || !(m.mu <= 1.0)) {
     throw std::invalid_argument("MeanFieldModel: mu must be in [0, 1]");
@@ -169,8 +176,7 @@ std::vector<NamedCounts> mean_field_competitors(
 MeanFieldQcrResult mean_field_qcr(const std::vector<double>& demand,
                                   const utility::DelayUtility& u,
                                   const MeanFieldModel& m, int cache_capacity,
-                                  const QcrOptions& qcr,
-                                  const MeanFieldOdeOptions& ode) {
+                                  const QcrOptions& qcr) {
   validate_model(m);
   if (m.horizon <= 0) {
     throw std::invalid_argument("mean_field_qcr: horizon must be > 0");
@@ -263,16 +269,16 @@ MeanFieldQcrResult mean_field_qcr(const std::vector<double>& demand,
   double integral = 0.0;
 
   const double T = static_cast<double>(m.horizon);
-  const double max_step = ode.max_step > 0.0 ? ode.max_step : T / 16.0;
+  const double max_step = T / 16.0;
   double t = 0.0;
-  double h = std::min(ode.initial_step, max_step);
+  double h = std::min(kOdeInitialStep, max_step);
   MeanFieldQcrResult result;
   // Step-doubling RK4: compare one h-step against two h/2-steps, accept
   // the finer solution when the componentwise error passes the mixed
   // absolute/relative tolerance, and rescale h by the usual 1/5-order
   // rule either way.
   while (t < T) {
-    if (result.steps + result.rejected_steps >= ode.max_steps) {
+    if (result.steps + result.rejected_steps >= kOdeMaxSteps) {
       throw std::runtime_error("mean_field_qcr: max_steps exceeded");
     }
     h = std::min(h, T - t);
@@ -282,8 +288,8 @@ MeanFieldQcrResult mean_field_qcr(const std::vector<double>& demand,
     rk4(half, 0.5 * h, second);
     double err = 0.0;
     for (std::size_t i = 0; i < num_items; ++i) {
-      const double tol = ode.abs_tol +
-                         ode.rel_tol * std::max(std::abs(x[i]),
+      const double tol = kOdeAbsTol +
+                         kOdeRelTol * std::max(std::abs(x[i]),
                                                 std::abs(second[i]));
       err = std::max(err, std::abs(full[i] - second[i]) / tol);
     }

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "impatience/core/policy.hpp"
@@ -34,9 +33,7 @@ QcrPolicy::QcrPolicy(std::string name,
 QcrReaction::QcrReaction(const utility::UtilitySet& utilities, double mu,
                          double num_servers, int capacity,
                          const QcrOptions& options)
-    : counter_cap_(options.clamp_counter_at_servers
-                       ? num_servers
-                       : std::numeric_limits<double>::infinity()),
+    : counter_cap_(num_servers),
       burst_cap_(options.max_replicas_per_fulfillment > 0.0
                      ? options.max_replicas_per_fulfillment
                      : static_cast<double>(capacity)),

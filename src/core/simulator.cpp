@@ -67,10 +67,10 @@ struct CacheSubscriber {
 };
 
 /// Throws std::invalid_argument for any input simulate() cannot run.
-void validate(const trace::EventSource& feed, const Catalog& catalog,
+void validate(const trace::ContactTrace& trace, const Catalog& catalog,
               const utility::UtilitySet& utilities,
               const Population& population, const SimOptions& options) {
-  const NodeId num_nodes = feed.num_nodes();
+  const NodeId num_nodes = trace.num_nodes();
   const auto num_items = catalog.num_items();
   if (utilities.size() != num_items) {
     throw std::invalid_argument("simulate: utility set size != item count");
@@ -143,14 +143,14 @@ DemandProcess make_demand(const Catalog& catalog,
 /// and finish() reads its result. The meeting sink, the nodes and the
 /// cache listeners point into the object, so it never moves.
 struct SimRun {
-  SimRun(trace::EventSource& feed, const Catalog& catalog,
+  SimRun(const trace::ContactTrace& trace, const Catalog& catalog,
          const utility::UtilitySet& utilities, ReplicationPolicy& policy,
          const Population& population, const SimOptions& options,
          util::Rng& rng);
   SimRun(const SimRun&) = delete;
   SimRun& operator=(const SimRun&) = delete;
 
-  trace::EventSource& feed;
+  const trace::ContactTrace& trace;
   const utility::UtilitySet& utilities;
   const Population& population;
   const SimOptions& options;
@@ -222,17 +222,17 @@ void account_fulfillment(void* context, ItemId item, NodeId client,
   run.query_sum += static_cast<double>(queries);
 }
 
-SimRun::SimRun(trace::EventSource& feed_in, const Catalog& catalog,
+SimRun::SimRun(const trace::ContactTrace& trace_in, const Catalog& catalog,
                const utility::UtilitySet& utilities_in,
                ReplicationPolicy& policy, const Population& population_in,
                const SimOptions& options_in, util::Rng& rng_in)
-    : feed(feed_in),
+    : trace(trace_in),
       utilities(utilities_in),
       population(population_in),
       options(options_in),
       rng(rng_in),
-      num_nodes(feed_in.num_nodes()),
-      duration(feed_in.duration()),
+      num_nodes(trace_in.num_nodes()),
+      duration(trace_in.duration()),
       soa(num_nodes, catalog.num_items()),
       sampling_active(options_in.expected_welfare ||
                       options_in.welfare_probe ||
@@ -332,9 +332,8 @@ SimRun::SimRun(trace::EventSource& feed_in, const Catalog& catalog,
     down_until.assign(num_nodes, 0);
     // A slot's delivered sequence is at most every surviving meeting plus
     // one duplicate each; reserving here keeps the staging buffer from
-    // reallocating inside the kernel loop. Sources without a cheap bound
-    // report 0 and the buffer grows on first use instead.
-    delivery.reserve(2 * feed.max_slot_events_hint());
+    // reallocating inside the kernel loop.
+    delivery.reserve(2 * trace.max_slot_events());
   }
 
   // Policies that track global state seed themselves from the initial
@@ -495,12 +494,7 @@ void run_slot_kernel(SimRun& run) {
       admit_request(run, req.item, req.node, slot);
     }
 
-    // The feed hands out exactly the nonempty slot_events() runs of the
-    // materialized trace, so an empty span here is the same empty span
-    // trace.slot_events(slot) returned before.
-    std::span<const trace::ContactEvent> meetings;
-    if (run.feed.next_slot() == slot) meetings = run.feed.take_batch();
-    deliver_meetings(run, slot, meetings);
+    deliver_meetings(run, slot, run.trace.slot_events(slot));
 
     if (slot % run.options.metrics.sample_every == 0) {
       sample_metrics(run, slot);
@@ -526,8 +520,11 @@ void run_slot_kernel(SimRun& run) {
 /// makes, minus the per-(slot, node) crash coins.
 void run_event_kernel(SimRun& run) {
   constexpr Slot kNever = std::numeric_limits<Slot>::max();
-  static_assert(trace::EventSource::kNoMoreEvents == kNever);
   const Slot duration = run.duration;
+  // Cursor into the slot-sorted events: the first meeting not yet
+  // delivered.
+  const std::vector<trace::ContactEvent>& events = run.trace.events();
+  std::size_t next_event = 0;
   const Slot sample_every = run.options.metrics.sample_every;
   const auto& schedule = run.options.demand_schedule;
   fault::FaultPlan& plan = run.fault_plan;
@@ -570,10 +567,8 @@ void run_event_kernel(SimRun& run) {
     const Slot next_switch = run.next_demand_change < schedule.size()
                                  ? schedule[run.next_demand_change].first
                                  : kNever;
-    // Peek the feed: idempotent, and on a generating source it draws
-    // ahead only as far as the next nonempty slot (the look-ahead
-    // window) using the source's own rng, never the simulation rng.
-    const Slot next_meeting = run.feed.next_slot();
+    const Slot next_meeting =
+        next_event < events.size() ? events[next_event].slot : kNever;
     const Slot next_sample =
         run.sampling_active
             ? ((cur + sample_every - 1) / sample_every) * sample_every
@@ -625,7 +620,10 @@ void run_event_kernel(SimRun& run) {
     admit_before(event_slot + 1);
 
     std::span<const trace::ContactEvent> meetings;
-    if (next_meeting == event_slot) meetings = run.feed.take_batch();
+    if (next_meeting == event_slot) {
+      meetings = run.trace.slot_events(event_slot);
+      next_event += meetings.size();
+    }
     deliver_meetings(run, event_slot, meetings);
     if (next_sample == event_slot) sample_metrics(run, event_slot);
     cur = event_slot + 1;
@@ -674,29 +672,20 @@ SimulationResult finish(SimRun& run) {
 
 }  // namespace
 
-SimulationResult simulate(trace::EventSource& feed, const Catalog& catalog,
-                          const utility::UtilitySet& utilities,
-                          ReplicationPolicy& policy,
-                          const Population& population,
-                          const SimOptions& options, util::Rng& rng) {
-  validate(feed, catalog, utilities, population, options);
-  SimRun run(feed, catalog, utilities, policy, population, options, rng);
-  if (options.kernel == SimKernel::event_driven) {
-    run_event_kernel(run);
-  } else {
-    run_slot_kernel(run);
-  }
-  return finish(run);
-}
-
 SimulationResult simulate(const trace::ContactTrace& trace,
                           const Catalog& catalog,
                           const utility::UtilitySet& utilities,
                           ReplicationPolicy& policy,
                           const Population& population,
                           const SimOptions& options, util::Rng& rng) {
-  trace::MaterializedSource feed(trace);
-  return simulate(feed, catalog, utilities, policy, population, options, rng);
+  validate(trace, catalog, utilities, population, options);
+  SimRun run(trace, catalog, utilities, policy, population, options, rng);
+  if (options.kernel == SimKernel::event_driven) {
+    run_event_kernel(run);
+  } else {
+    run_slot_kernel(run);
+  }
+  return finish(run);
 }
 
 SimulationResult simulate(const trace::ContactTrace& trace,

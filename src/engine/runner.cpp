@@ -24,6 +24,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr double kBackoffMaxSeconds = 1.0;
+constexpr std::chrono::milliseconds kProgressInterval{1000};
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -36,8 +39,7 @@ double seconds_since(Clock::time_point start) {
 void backoff_sleep(const JobSpec& spec, int attempt,
                    const RunnerOptions& options) {
   const double delay = util::backoff_delay(
-      {options.backoff_base_seconds, options.backoff_max_seconds}, spec.seed,
-      attempt);
+      {options.backoff_base_seconds, kBackoffMaxSeconds}, spec.seed, attempt);
   if (delay > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(delay));
   }
@@ -162,11 +164,7 @@ RunReport Runner::run(std::vector<JobSpec> jobs, std::uint64_t root_seed,
       });
     }
     if (options_.progress) {
-      const auto interval = std::chrono::milliseconds(static_cast<long>(
-          options_.progress_interval_seconds > 0.0
-              ? options_.progress_interval_seconds * 1000.0
-              : 1000.0));
-      while (!pool.wait_idle_for(interval)) {
+      while (!pool.wait_idle_for(kProgressInterval)) {
         const std::size_t d = done.load(std::memory_order_acquire);
         const double elapsed = seconds_since(start);
         const double eta =

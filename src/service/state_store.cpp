@@ -1,6 +1,7 @@
 #include "impatience/service/state_store.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -684,7 +685,12 @@ std::string read_checked_body(std::istream& in, std::uint64_t* checksum) {
   std::uint64_t stored_checksum = 0;
   while (std::getline(in, line)) {
     if (line.rfind("checksum ", 0) == 0) {
-      stored_checksum = std::stoull(line.substr(9), nullptr, 16);
+      const char* first = line.data() + 9;
+      const char* last = line.data() + line.size();
+      const auto [end, ec] = std::from_chars(first, last, stored_checksum, 16);
+      if (ec != std::errc() || end != last) {
+        throw util::IoError("snapshot: malformed checksum line");
+      }
       have_checksum = true;
       break;
     }
@@ -751,29 +757,33 @@ std::uint64_t read_node_records(LineReader& lines,
     ni.server_meetings = r.get<long>("server_meetings");
     ni.sticky = r.get<std::int64_t>("sticky");
   }
+  // Declared counts are untrusted: each vector grows only as its
+  // entries parse, so a hostile count fails at the first missing token
+  // instead of allocating up front.
   {
     Record r(lines.next(), "cache");
     const auto count = r.get<std::size_t>("cache size");
-    ni.cache.resize(count);
-    for (auto& item : ni.cache) item = r.get<ItemId>("cache item");
+    for (std::size_t k = 0; k < count; ++k) {
+      ni.cache.push_back(r.get<ItemId>("cache item"));
+    }
   }
   {
     Record r(lines.next(), "mandates");
     const auto count = r.get<std::size_t>("mandate entries");
-    ni.mandates.resize(count);
-    for (auto& [item, cnt] : ni.mandates) {
-      item = r.get<ItemId>("mandate item");
-      cnt = r.get<long>("mandate count");
+    for (std::size_t k = 0; k < count; ++k) {
+      const auto item = r.get<ItemId>("mandate item");
+      ni.mandates.emplace_back(item, r.get<long>("mandate count"));
     }
   }
   {
     Record r(lines.next(), "pending");
     const auto count = r.get<std::size_t>("pending entries");
-    ni.pending.resize(count);
-    for (auto& req : ni.pending) {
+    for (std::size_t k = 0; k < count; ++k) {
+      core::PendingRequest req;
       req.item = r.get<ItemId>("pending item");
       req.created = r.get<Slot>("pending created");
       req.queries_at_creation = r.get<long>("pending queries");
+      ni.pending.push_back(req);
     }
   }
   return id;
@@ -782,8 +792,24 @@ std::uint64_t read_node_records(LineReader& lines,
 void read_delays_record(LineReader& lines, std::vector<double>& delays) {
   Record r(lines.next(), "delays");
   const auto count = r.get<std::size_t>("delay count");
-  delays.resize(count);
-  for (auto& d : delays) d = r.get<double>("delay");
+  for (std::size_t k = 0; k < count; ++k) {
+    delays.push_back(r.get<double>("delay"));
+  }
+}
+
+/// The "nodes" record's count, which the config record bounds: an image
+/// holds exactly config.num_nodes nodes, a delta at most that many. The
+/// node vectors still grow one parsed block at a time.
+std::size_t read_nodes_count(LineReader& lines, const StoreConfig& config,
+                             bool exact) {
+  Record r(lines.next(), "nodes");
+  const auto count = r.get<std::size_t>("nodes");
+  if (exact ? count != config.num_nodes : count > config.num_nodes) {
+    throw util::IoError("snapshot: node count " + std::to_string(count) +
+                        (exact ? " != " : " > ") + "config num_nodes " +
+                        std::to_string(config.num_nodes));
+  }
+  return count;
 }
 
 }  // namespace
@@ -826,14 +852,10 @@ StateImage read_image(std::istream& in, std::uint64_t* checksum) {
   }
   read_counters_record(lines, image.counters);
   read_faults_record(lines, image.faults);
-  std::size_t num_nodes = 0;
-  {
-    Record r(lines.next(), "nodes");
-    num_nodes = r.get<std::size_t>("nodes");
-  }
-  image.nodes.resize(num_nodes);
+  const std::size_t num_nodes =
+      read_nodes_count(lines, image.config, /*exact=*/true);
   for (std::size_t n = 0; n < num_nodes; ++n) {
-    if (read_node_records(lines, image.nodes[n]) != n) {
+    if (read_node_records(lines, image.nodes.emplace_back()) != n) {
       throw util::IoError("snapshot: node records out of order");
     }
   }
@@ -900,16 +922,15 @@ StateDelta read_delta(std::istream& in, std::uint64_t* checksum) {
   }
   read_counters_record(lines, delta.counters);
   read_faults_record(lines, delta.faults);
-  std::size_t num_nodes = 0;
-  {
-    Record r(lines.next(), "nodes");
-    num_nodes = r.get<std::size_t>("nodes");
-  }
-  delta.nodes.resize(num_nodes);
+  const std::size_t num_nodes =
+      read_nodes_count(lines, delta.config, /*exact=*/false);
   std::uint64_t prev_id = 0;
   for (std::size_t n = 0; n < num_nodes; ++n) {
-    auto& [id, ni] = delta.nodes[n];
+    auto& [id, ni] = delta.nodes.emplace_back();
     const std::uint64_t got = read_node_records(lines, ni);
+    if (got >= delta.config.num_nodes) {
+      throw util::IoError("snapshot: delta node id out of range");
+    }
     if (n > 0 && got <= prev_id) {
       throw util::IoError("snapshot: delta node records not ascending");
     }

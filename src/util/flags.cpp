@@ -13,6 +13,24 @@ bool looks_like_flag(const std::string& s) {
   return s.size() > 2 && s[0] == '-' && s[1] == '-';
 }
 
+/// Parses all of `text` with `parse` (a std::sto* call that reports how
+/// many characters it consumed). A failed, out-of-range or partial parse
+/// ("1e6" as an int, "80x", "0.05abc") throws std::invalid_argument
+/// naming the flag.
+template <typename Parse>
+auto parse_whole(const std::string& key, const std::string& text,
+                 const char* kind, Parse parse) {
+  std::size_t consumed = 0;
+  try {
+    const auto value = parse(text, &consumed);
+    if (consumed == text.size()) return value;
+  } catch (const std::logic_error&) {
+    // std::invalid_argument or std::out_of_range: reported below.
+  }
+  throw std::invalid_argument(std::string("Flags: bad ") + kind + " for --" +
+                              key + ": '" + text + "'");
+}
+
 }  // namespace
 
 std::optional<double> parse_duration(const std::string& text) {
@@ -84,17 +102,29 @@ std::string Flags::get_string(const std::string& key,
 
 int Flags::get_int(const std::string& key, int fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoi(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole(key, it->second, "integer",
+                     [](const std::string& t, std::size_t* n) {
+                       return std::stoi(t, n);
+                     });
 }
 
 long Flags::get_long(const std::string& key, long fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stol(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole(key, it->second, "integer",
+                     [](const std::string& t, std::size_t* n) {
+                       return std::stol(t, n);
+                     });
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole(key, it->second, "number",
+                     [](const std::string& t, std::size_t* n) {
+                       return std::stod(t, n);
+                     });
 }
 
 double Flags::get_duration(const std::string& key, double fallback) const {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <span>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "impatience/engine/seeding.hpp"
 #include "impatience/util/errors.hpp"
 
 namespace impatience::service {
@@ -265,6 +267,153 @@ TEST(ServiceStateStore, TruncatedOrCorruptSnapshotIsRejected) {
     EXPECT_THROW(read_image(in), util::IoError);
   }
   EXPECT_THROW(load_image(file.path() + ".does-not-exist"), util::IoError);
+}
+
+/// `text` (a sealed image or delta) with the last line that starts with
+/// `prefix` replaced by `line`, resealed under a recomputed checksum so
+/// the reader gets past its integrity check to the record itself.
+std::string with_record(const std::string& text, const std::string& prefix,
+                        const std::string& line) {
+  std::istringstream in(text);
+  std::vector<std::string> lines;
+  std::string current;
+  while (std::getline(in, current) && current.rfind("checksum ", 0) != 0) {
+    lines.push_back(current);
+  }
+  const auto last = std::find_if(
+      lines.rbegin(), lines.rend(),
+      [&](const std::string& l) { return l.rfind(prefix, 0) == 0; });
+  EXPECT_NE(last, lines.rend()) << "no record starts with '" << prefix << "'";
+  if (last != lines.rend()) *last = line;
+  std::string body;
+  for (const std::string& l : lines) body += l + '\n';
+  char checksum[32];
+  std::snprintf(checksum, sizeof(checksum), "%016" PRIx64,
+                engine::fnv1a64(body));
+  return body + "checksum " + checksum + "\nend\n";
+}
+
+/// A sealed image and a sealed delta of a small store that has served
+/// requests, so every record kind is present.
+struct SealedFiles {
+  std::string image;
+  std::string delta;
+};
+
+SealedFiles sealed_files() {
+  StateStore store(small_config(), 21);
+  for (const Event& event : workload(300, 22)) store.apply(event);
+  store.checkpoint_image();
+  for (const Event& event : workload(60, 23)) store.apply(event);
+  SealedFiles files;
+  files.image = serialized(store);
+  std::ostringstream delta;
+  write_delta(delta, store.take_delta());
+  files.delta = delta.str();
+  return files;
+}
+
+StateImage read_image_text(const std::string& text) {
+  std::istringstream in(text);
+  return read_image(in);
+}
+
+StateDelta read_delta_text(const std::string& text) {
+  std::istringstream in(text);
+  return read_delta(in);
+}
+
+/// `text` with its checksum line replaced by `line`.
+std::string with_checksum_line(const std::string& text,
+                               const std::string& line) {
+  const std::size_t begin = text.rfind("\nchecksum ") + 1;
+  const std::size_t end = text.find('\n', begin);
+  return text.substr(0, begin) + line + text.substr(end);
+}
+
+TEST(ServiceSnapshot, MalformedChecksumLineIsAnIoError) {
+  const SealedFiles files = sealed_files();
+  for (const char* bad : {"checksum g123", "checksum ", "checksum 12zz",
+                          "checksum -5", "checksum 99999999999999999999"}) {
+    EXPECT_THROW(read_image_text(with_checksum_line(files.image, bad)),
+                 util::IoError)
+        << bad;
+    EXPECT_THROW(read_delta_text(with_checksum_line(files.delta, bad)),
+                 util::IoError)
+        << bad;
+  }
+}
+
+// Declared record counts are untrusted: a hostile count under a valid
+// checksum must fail as util::IoError, without allocating up front.
+constexpr const char* kHugeCount = "4000000000000000000";
+
+TEST(ServiceSnapshot, NodeCountMustMatchTheConfig) {
+  const SealedFiles files = sealed_files();
+  // Control: resealing the true count reproduces the file, which reads.
+  EXPECT_EQ(with_record(files.image, "nodes ", "nodes 16"), files.image);
+  EXPECT_NO_THROW(read_image_text(files.image));
+  EXPECT_NO_THROW(read_delta_text(files.delta));
+  for (const char* count : {kHugeCount, "17", "15"}) {
+    const std::string line = std::string("nodes ") + count;
+    EXPECT_THROW(read_image_text(with_record(files.image, "nodes ", line)),
+                 util::IoError)
+        << count;
+  }
+  // A delta carries at most config.num_nodes node blocks.
+  for (const char* count : {kHugeCount, "17"}) {
+    const std::string line = std::string("nodes ") + count;
+    EXPECT_THROW(read_delta_text(with_record(files.delta, "nodes ", line)),
+                 util::IoError)
+        << count;
+  }
+}
+
+TEST(ServiceSnapshot, DeltaNodeIdBeyondTheConfigIsAnIoError) {
+  // 2^32 + 3 would narrow to node 3 if the id were not checked first.
+  const SealedFiles files = sealed_files();
+  EXPECT_THROW(read_delta_text(
+                   with_record(files.delta, "node ", "node 4294967299 0 -1")),
+               util::IoError);
+  EXPECT_THROW(
+      read_delta_text(with_record(files.delta, "node ", "node 16 0 -1")),
+      util::IoError);
+}
+
+TEST(ServiceSnapshot, HugeCacheCountIsAnIoError) {
+  const SealedFiles files = sealed_files();
+  const std::string line = std::string("cache ") + kHugeCount + " 1 2";
+  EXPECT_THROW(read_image_text(with_record(files.image, "cache ", line)),
+               util::IoError);
+  EXPECT_THROW(read_delta_text(with_record(files.delta, "cache ", line)),
+               util::IoError);
+}
+
+TEST(ServiceSnapshot, HugeMandatesCountIsAnIoError) {
+  const SealedFiles files = sealed_files();
+  const std::string line = std::string("mandates ") + kHugeCount + " 1 1";
+  EXPECT_THROW(read_image_text(with_record(files.image, "mandates ", line)),
+               util::IoError);
+  EXPECT_THROW(read_delta_text(with_record(files.delta, "mandates ", line)),
+               util::IoError);
+}
+
+TEST(ServiceSnapshot, HugePendingCountIsAnIoError) {
+  const SealedFiles files = sealed_files();
+  const std::string line = std::string("pending ") + kHugeCount + " 1 0 0";
+  EXPECT_THROW(read_image_text(with_record(files.image, "pending ", line)),
+               util::IoError);
+  EXPECT_THROW(read_delta_text(with_record(files.delta, "pending ", line)),
+               util::IoError);
+}
+
+TEST(ServiceSnapshot, HugeDelaysCountIsAnIoError) {
+  const SealedFiles files = sealed_files();
+  const std::string line = std::string("delays ") + kHugeCount + " 1.5";
+  EXPECT_THROW(read_image_text(with_record(files.image, "delays ", line)),
+               util::IoError);
+  EXPECT_THROW(read_delta_text(with_record(files.delta, "delays ", line)),
+               util::IoError);
 }
 
 TEST(ServiceStateStore, RestoreRefusesMismatchedScenario) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace impatience::util {
 namespace {
 
@@ -65,6 +68,36 @@ TEST(Flags, NegativeNumberAsValue) {
   auto f = make({"--alpha", "-1.5"});
   // "-1.5" does not look like a --flag, so it is consumed as the value.
   EXPECT_DOUBLE_EQ(f.get_double("alpha", 0.0), -1.5);
+}
+
+TEST(Flags, NumericFlagsRejectPartialNumbers) {
+  auto f = make({"--nodes=1e6", "--port", "80x", "--mu=0.05abc", "--n=7 "});
+  EXPECT_THROW(f.get_int("nodes", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_long("nodes", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_int("port", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_long("port", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_double("mu", 0.0), std::invalid_argument);
+  EXPECT_THROW(f.get_int("n", 0), std::invalid_argument);
+  // The same tokens parse in full as the right kind of number.
+  EXPECT_DOUBLE_EQ(f.get_double("nodes", 0.0), 1e6);
+}
+
+TEST(Flags, NumericErrorsNameTheFlagAndCoverOverflow) {
+  auto f = make({"--port=80x", "--big=99999999999999999999", "--x=abc"});
+  try {
+    f.get_int("port", 0);
+    ADD_FAILURE() << "partial number accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--port"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("80x"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(f.get_long("big", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_int("big", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_double("x", 0.0), std::invalid_argument);
+  EXPECT_THROW(make({"--d=1e999"}).get_double("d", 0.0),
+               std::invalid_argument);
 }
 
 TEST(Flags, ProgramName) {
