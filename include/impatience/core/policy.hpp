@@ -155,9 +155,9 @@ struct QcrOptions {
 /// counter is clamped at |S|: with sticky seed copies every item has
 /// x >= 1, so counter values beyond |S| carry no extra information about
 /// the allocation (the implied estimate S/y would be below the guaranteed
-/// floor of one replica). This is the one definition run by the simulator (run_qcr), the mean-field ODE
-/// (mean_field_qcr), replicationd's StateStore and the dedicated-node
-/// harness.
+/// floor of one replica). This is the one definition run by the
+/// simulator (run_qcr), the mean-field ODE (mean_field_qcr),
+/// replicationd's StateStore and the dedicated-node harness.
 class QcrReaction {
  public:
   /// @param num_servers |S| (N in pure P2P).

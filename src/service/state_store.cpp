@@ -584,7 +584,8 @@ class LineReader {
 /// Tokenizing reader for one expected record line: "key v1 v2 ...".
 class Record {
  public:
-  Record(std::string line, std::string_view key) : stream_(std::move(line)) {
+  Record(std::string line, std::string_view key)
+      : line_size_(line.size()), stream_(std::move(line)) {
     std::string got;
     if (!(stream_ >> got) || got != key) {
       throw util::IoError("snapshot: expected '" + std::string(key) +
@@ -602,6 +603,13 @@ class Record {
     return value;
   }
 
+  /// Capacity safe to reserve for a declared, untrusted `count` of
+  /// entries of `tokens` tokens each: no more than the line can hold,
+  /// since every token takes at least a separator and one character.
+  std::size_t capacity_for(std::size_t count, std::size_t tokens) const {
+    return std::min(count, line_size_ / (2 * tokens));
+  }
+
   /// Remainder of the line, stripped of one leading space.
   std::string rest() {
     std::string tail;
@@ -611,6 +619,7 @@ class Record {
   }
 
  private:
+  std::size_t line_size_;
   std::istringstream stream_;
 };
 
@@ -757,12 +766,13 @@ std::uint64_t read_node_records(LineReader& lines,
     ni.server_meetings = r.get<long>("server_meetings");
     ni.sticky = r.get<std::int64_t>("sticky");
   }
-  // Declared counts are untrusted: each vector grows only as its
-  // entries parse, so a hostile count fails at the first missing token
-  // instead of allocating up front.
+  // Declared counts are untrusted: each vector reserves at most what
+  // its line can hold and grows as its entries parse, so a hostile count
+  // fails at the first missing token instead of allocating up front.
   {
     Record r(lines.next(), "cache");
     const auto count = r.get<std::size_t>("cache size");
+    ni.cache.reserve(r.capacity_for(count, 1));
     for (std::size_t k = 0; k < count; ++k) {
       ni.cache.push_back(r.get<ItemId>("cache item"));
     }
@@ -770,6 +780,7 @@ std::uint64_t read_node_records(LineReader& lines,
   {
     Record r(lines.next(), "mandates");
     const auto count = r.get<std::size_t>("mandate entries");
+    ni.mandates.reserve(r.capacity_for(count, 2));
     for (std::size_t k = 0; k < count; ++k) {
       const auto item = r.get<ItemId>("mandate item");
       ni.mandates.emplace_back(item, r.get<long>("mandate count"));
@@ -778,6 +789,7 @@ std::uint64_t read_node_records(LineReader& lines,
   {
     Record r(lines.next(), "pending");
     const auto count = r.get<std::size_t>("pending entries");
+    ni.pending.reserve(r.capacity_for(count, 3));
     for (std::size_t k = 0; k < count; ++k) {
       core::PendingRequest req;
       req.item = r.get<ItemId>("pending item");
@@ -792,6 +804,7 @@ std::uint64_t read_node_records(LineReader& lines,
 void read_delays_record(LineReader& lines, std::vector<double>& delays) {
   Record r(lines.next(), "delays");
   const auto count = r.get<std::size_t>("delay count");
+  delays.reserve(r.capacity_for(count, 1));
   for (std::size_t k = 0; k < count; ++k) {
     delays.push_back(r.get<double>("delay"));
   }
