@@ -120,7 +120,7 @@ int run_daemon(const util::Flags& flags) {
   config.restore = flags.get_bool("restore", false);
   config.snapshot_deltas = flags.get_bool("snapshot-deltas", false);
   config.snapshot_delta_limit = static_cast<std::size_t>(
-      bounded_flag(flags, "snapshot-delta-limit", 16, 0, kMaxLong));
+      bounded_flag(flags, "snapshot-delta-limit", 16, 1, kMaxLong));
   config.announce_path = flags.get_string("announce", "");
   const double deadline_s = flags.get_duration("deadline", 0.0);
 

@@ -4,19 +4,19 @@
 // pathology described in the paper.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "impatience/core/catalog.hpp"
 
 namespace impatience::core {
 
-/// A multiset of mandates per item, stored densely (the item universe is
-/// known and small relative to node count), plus an incrementally
-/// maintained list of the items with a non-zero count: the QCR meeting
-/// hooks enumerate active items 4x per meeting (execute + route, both
-/// sides), and most bags are sparse, so an O(active) enumeration beats
-/// the former O(num_items) scan on the simulator's commit path.
+/// A multiset of mandates per item, stored as the list of items with a
+/// non-zero count. A node carries few mandates even when the catalog is
+/// large (items may grow with servers), so the bag holds only its active
+/// entries: the QCR meeting hooks enumerate them 4x per meeting (execute
+/// + route, both sides), and a count lookup is a short linear scan.
 class MandateBag {
  public:
   explicit MandateBag(ItemId num_items);
@@ -38,18 +38,17 @@ class MandateBag {
   /// allocation-free form for callers that merge and sort anyway
   /// (QcrPolicy's per-meeting item unions).
   void append_active_items(std::vector<ItemId>& out) const {
-    out.insert(out.end(), active_.begin(), active_.end());
+    for (const auto& entry : active_) out.push_back(entry.first);
   }
 
  private:
-  static constexpr std::uint32_t kAbsent = 0xffffffffu;
+  /// Index of `item`'s entry in active_, or active_.size() if it has
+  /// none; throws std::out_of_range naming `who` for an item outside the
+  /// catalog.
+  std::size_t find(ItemId item, const char* who) const;
 
-  void activate(ItemId item);
-  void deactivate(ItemId item);
-
-  std::vector<long> count_;
-  std::vector<ItemId> active_;        // items with count > 0, unordered
-  std::vector<std::uint32_t> pos_;    // item -> index in active_, or kAbsent
+  std::vector<std::pair<ItemId, long>> active_;  // (item, count > 0), unordered
+  ItemId num_items_;
   long total_ = 0;
 };
 

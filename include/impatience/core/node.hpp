@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -17,8 +16,6 @@ namespace impatience::core {
 
 using trace::NodeId;
 using trace::Slot;
-
-class SimulationState;
 
 /// An outstanding request with its query counter (Section 5.1): the
 /// counter increments on every meeting with a server while the request
@@ -37,17 +34,9 @@ struct PendingRequest {
 
 class Node {
  public:
-  /// cache_capacity is ignored unless is_server. This standalone form
-  /// owns its hot counters on a private heap backing (move-stable).
+  /// cache_capacity is ignored unless is_server.
   Node(NodeId id, ItemId num_items, int cache_capacity, bool is_server,
        bool is_client);
-
-  /// Structure-of-arrays form: the per-item pending counters and the
-  /// query-counter clock are raw views into `state`'s flat arrays
-  /// (sim_state.hpp), which must outlive the node. The simulator builds
-  /// its population this way so hot-path walks touch contiguous rows.
-  Node(SimulationState& state, NodeId id, ItemId num_items,
-       int cache_capacity, bool is_server, bool is_client);
 
   NodeId id() const noexcept { return id_; }
   bool is_server() const noexcept { return cache_.has_value(); }
@@ -83,15 +72,15 @@ class Node {
   /// Records a meeting with a server (the query-counter clock). Called by
   /// the meeting protocol before fulfilment, so the fulfilling meeting is
   /// included in every fulfilled request's counter.
-  void note_server_meeting() noexcept { ++*server_meetings_; }
+  void note_server_meeting() noexcept { ++server_meetings_; }
   /// Running count of this node's meetings with servers.
-  long server_meetings() const noexcept { return *server_meetings_; }
+  long server_meetings() const noexcept { return server_meetings_; }
   /// Warm-restart support (service::StateStore): sets the query-counter
   /// clock directly when rebuilding a node from a persisted snapshot.
   /// Must run before the pending list is restored, since create_request
   /// snapshots the clock.
   void restore_server_meetings(long meetings) noexcept {
-    *server_meetings_ = meetings;
+    server_meetings_ = meetings;
   }
 
   /// True if this node holds a replica of the item (servers only).
@@ -114,25 +103,13 @@ class Node {
   CrashLosses crash(bool persist_cache);
 
  private:
-  /// Heap home of the hot counters when the node is NOT bound to a
-  /// SimulationState. Heap rather than members so the raw view pointers
-  /// below survive vector<Node> reallocation (moves transfer the
-  /// backing; the pointed-to storage never relocates).
-  struct Backing {
-    std::vector<std::uint32_t> pending_count;
-    long server_meetings = 0;
-  };
-
   NodeId id_;
-  ItemId num_items_;
   bool is_client_;
   std::optional<Cache> cache_;
   MandateBag mandates_;
   std::vector<PendingRequest> pending_;
-  std::unique_ptr<Backing> own_;  // null when bound to a SimulationState
-  /// Views: either into own_ or into the SimulationState's flat arrays.
-  std::uint32_t* pending_count_ = nullptr;  // outstanding requests per item
-  long* server_meetings_ = nullptr;  // query-counter clock (PendingRequest)
+  std::vector<std::uint32_t> pending_count_;  // outstanding requests per item
+  long server_meetings_ = 0;  // query-counter clock (PendingRequest)
 };
 
 }  // namespace impatience::core

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Perf snapshot for the greedy/simulator hot paths (see docs/perf.md).
 #
-# Runs the before/after micro-benchmark pairs — marginal-gain evaluation,
-# the fig5-like end-to-end greedy (98 nodes, 500 items), one fig5_sim
-# sweep point's placements (per-trial build vs one plan), the transform
-# memo, demand sampling (linear scan vs alias tables), the fig6-like
-# simulation kernels (slot-stepped vs event-driven), the fig3-like faulty
-# kernels and the QCR welfare probe (from-scratch vs incremental) — and
+# Runs the QCR simulator benchmark (BM_SimulatorQcr: mandate bags and
+# pending counters under load) and the before/after micro-benchmark
+# pairs — marginal-gain evaluation, the fig5-like end-to-end greedy
+# (98 nodes, 500 items), one fig5_sim sweep point's placements
+# (per-trial build vs one plan), the transform memo, demand sampling
+# (linear scan vs alias tables), the fig6-like simulation kernels
+# (slot-stepped vs event-driven), the fig3-like faulty kernels and the
+# QCR welfare probe (from-scratch vs incremental) — and
 # writes the google-benchmark JSON to BENCH_PR<current>.json so the perf
 # trajectory accrues in-repo. The *Naive/*Linear/*Slot/*Scratch benches
 # ARE the "before" numbers: they run the reference paths on the same
@@ -85,7 +87,7 @@ bin_build_type() {
 print(json.load(sys.stdin)["context"].get("impatience_build_type", "unknown"))'
 }
 
-FILTER='BM_(MarginalGainNaive|MarginalOracle|LazyGreedyFig5Oracle|LazyGreedyFig5Naive|BuildCompetitorsFig5PerTrial|BuildCompetitorsFig5Plan|LossTransformTabulated|LossTransformCached|DemandSampleLinear|DemandSampleAlias|SimulateFig6Slot|SimulateFig6Event|SimulateFig3FaultySlot|SimulateFig3FaultyEvent|QcrWelfareProbeScratch|QcrWelfareProbeIncremental|SimulateFig4Event500|MeanFieldFig4|ServiceThroughput|ServiceSnapshot|SnapshotDelta|ServiceMetricsScrape|FeederThroughput)'
+FILTER='BM_(SimulatorQcr|MarginalGainNaive|MarginalOracle|LazyGreedyFig5Oracle|LazyGreedyFig5Naive|BuildCompetitorsFig5PerTrial|BuildCompetitorsFig5Plan|LossTransformTabulated|LossTransformCached|DemandSampleLinear|DemandSampleAlias|SimulateFig6Slot|SimulateFig6Event|SimulateFig3FaultySlot|SimulateFig3FaultyEvent|QcrWelfareProbeScratch|QcrWelfareProbeIncremental|SimulateFig4Event500|MeanFieldFig4|ServiceThroughput|ServiceSnapshot|SnapshotDelta|ServiceMetricsScrape|FeederThroughput)'
 
 if [[ "$CHECK" == 1 ]]; then
   # Smoke subset: skip the end-to-end greedy benches (the naive baseline

@@ -1,79 +1,73 @@
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "impatience/core/mandate.hpp"
 
 namespace impatience::core {
 
-MandateBag::MandateBag(ItemId num_items) {
+MandateBag::MandateBag(ItemId num_items) : num_items_(num_items) {
   if (num_items == 0) {
     throw std::invalid_argument("MandateBag: need at least one item");
   }
-  count_.assign(num_items, 0);
-  pos_.assign(num_items, kAbsent);
+}
+
+std::size_t MandateBag::find(ItemId item, const char* who) const {
+  if (item >= num_items_) {
+    throw std::out_of_range(std::string("MandateBag::") + who + ": bad item");
+  }
+  std::size_t at = 0;
+  while (at < active_.size() && active_[at].first != item) ++at;
+  return at;
 }
 
 long MandateBag::count(ItemId item) const {
-  if (item >= count_.size()) {
-    throw std::out_of_range("MandateBag::count: bad item");
-  }
-  return count_[item];
-}
-
-void MandateBag::activate(ItemId item) {
-  pos_[item] = static_cast<std::uint32_t>(active_.size());
-  active_.push_back(item);
-}
-
-void MandateBag::deactivate(ItemId item) {
-  // Swap-remove from the active list, fixing the moved item's index.
-  const std::uint32_t at = pos_[item];
-  const ItemId moved = active_.back();
-  active_[at] = moved;
-  pos_[moved] = at;
-  active_.pop_back();
-  pos_[item] = kAbsent;
+  const std::size_t at = find(item, "count");
+  return at == active_.size() ? 0 : active_[at].second;
 }
 
 void MandateBag::add(ItemId item, long n) {
-  if (item >= count_.size()) {
-    throw std::out_of_range("MandateBag::add: bad item");
-  }
+  const std::size_t at = find(item, "add");
   if (n < 0) {
     throw std::invalid_argument("MandateBag::add: negative count");
   }
-  if (n > 0 && count_[item] == 0) activate(item);
-  count_[item] += n;
+  if (n == 0) return;
+  if (at == active_.size()) {
+    active_.emplace_back(item, n);
+  } else {
+    active_[at].second += n;
+  }
   total_ += n;
 }
 
 long MandateBag::take(ItemId item, long n) {
-  if (item >= count_.size()) {
-    throw std::out_of_range("MandateBag::take: bad item");
-  }
+  const std::size_t at = find(item, "take");
   if (n < 0) {
     throw std::invalid_argument("MandateBag::take: negative count");
   }
-  const long taken = std::min(n, count_[item]);
-  count_[item] -= taken;
+  if (at == active_.size()) return 0;
+  const long taken = std::min(n, active_[at].second);
+  active_[at].second -= taken;
   total_ -= taken;
-  if (taken > 0 && count_[item] == 0) deactivate(item);
+  if (active_[at].second == 0) {
+    // Swap-remove; the entry order is not part of the behaviour.
+    active_[at] = active_.back();
+    active_.pop_back();
+  }
   return taken;
 }
 
 long MandateBag::drain() {
   const long lost = total_;
-  for (ItemId item : active_) {
-    count_[item] = 0;
-    pos_[item] = kAbsent;
-  }
   active_.clear();
   total_ = 0;
   return lost;
 }
 
 std::vector<ItemId> MandateBag::active_items() const {
-  std::vector<ItemId> out = active_;
+  std::vector<ItemId> out;
+  out.reserve(active_.size());
+  append_active_items(out);
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -2,41 +2,20 @@
 #include <stdexcept>
 
 #include "impatience/core/node.hpp"
-#include "impatience/core/sim_state.hpp"
 
 namespace impatience::core {
 
 Node::Node(NodeId id, ItemId num_items, int cache_capacity, bool is_server,
            bool is_client)
     : id_(id),
-      num_items_(num_items),
       is_client_(is_client),
       mandates_(num_items),
-      own_(std::make_unique<Backing>()) {
-  own_->pending_count.assign(num_items, 0);
-  pending_count_ = own_->pending_count.data();
-  server_meetings_ = &own_->server_meetings;
+      pending_count_(num_items, 0) {
   if (is_server) {
     cache_.emplace(cache_capacity);
   }
   // A node that is neither server nor client still participates as a
   // mandate relay.
-}
-
-Node::Node(SimulationState& state, NodeId id, ItemId num_items,
-           int cache_capacity, bool is_server, bool is_client)
-    : id_(id),
-      num_items_(num_items),
-      is_client_(is_client),
-      mandates_(num_items) {
-  if (id >= state.num_nodes() || num_items != state.num_items()) {
-    throw std::invalid_argument("Node: SimulationState dimension mismatch");
-  }
-  pending_count_ = state.pending_counts(id);
-  server_meetings_ = state.query_clock(id);
-  if (is_server) {
-    cache_.emplace(cache_capacity);
-  }
 }
 
 Cache& Node::cache() {
@@ -61,7 +40,7 @@ Node::CrashLosses Node::crash(bool persist_cache) {
   losses.mandates = mandates_.drain();
   losses.requests = pending_.size();
   pending_.clear();
-  std::fill(pending_count_, pending_count_ + num_items_, 0u);
+  std::fill(pending_count_.begin(), pending_count_.end(), 0u);
   return losses;
 }
 
@@ -69,7 +48,7 @@ void Node::create_request(ItemId item, Slot now) {
   if (!is_client_) {
     throw std::logic_error("Node::create_request: node is not a client");
   }
-  pending_.push_back({item, now, *server_meetings_});
+  pending_.push_back({item, now, server_meetings_});
   ++pending_count_[item];
 }
 

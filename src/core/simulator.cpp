@@ -7,7 +7,6 @@
 #include <string>
 
 #include "impatience/core/meeting.hpp"
-#include "impatience/core/sim_state.hpp"
 #include "impatience/core/simulator.hpp"
 #include "impatience/stats/timeseries.hpp"
 
@@ -158,10 +157,9 @@ struct SimRun {
   const NodeId num_nodes;
   const Slot duration;
 
-  // Hot per-node state (pending counters, query-counter clocks) and the
-  // global replica counts live in SimulationState's flat arrays; nodes
-  // are thin views into them (the SoA constructor).
-  SimulationState soa;
+  /// Global replicas per item, kept exact by the cache listeners; the
+  /// span handed to ReplicationPolicy::on_initialized and final_counts.
+  std::vector<int> replica_counts;
   std::vector<Node> nodes;  // indexed by trace NodeId
   std::vector<CacheSubscriber> subscribers;
   /// Whether a metrics tick records anything (expected welfare, the
@@ -233,7 +231,7 @@ SimRun::SimRun(const trace::ContactTrace& trace_in, const Catalog& catalog,
       rng(rng_in),
       num_nodes(trace_in.num_nodes()),
       duration(trace_in.duration()),
-      soa(num_nodes, catalog.num_items()),
+      replica_counts(catalog.num_items(), 0),
       sampling_active(options_in.expected_welfare ||
                       options_in.welfare_probe ||
                       !options_in.metrics.tracked_items.empty()),
@@ -250,7 +248,7 @@ SimRun::SimRun(const trace::ContactTrace& trace_in, const Catalog& catalog,
   for (NodeId n : population.clients) is_client[n] = 1;
   nodes.reserve(num_nodes);
   for (NodeId n = 0; n < num_nodes; ++n) {
-    nodes.emplace_back(soa, n, num_items, options.cache_capacity,
+    nodes.emplace_back(n, num_items, options.cache_capacity,
                        is_server[n] != 0, is_client[n] != 0);
   }
 
@@ -273,7 +271,7 @@ SimRun::SimRun(const trace::ContactTrace& trace_in, const Catalog& catalog,
   // probe learns which oracle row a delta belongs to.
   subscribers.resize(num_servers);
   for (NodeId s = 0; s < num_servers; ++s) {
-    subscribers[s] = {&soa.replica_counts(), probe, s};
+    subscribers[s] = {&replica_counts, probe, s};
     nodes[population.servers[s]].cache().set_change_listener(
         [](void* context, ItemId item, int delta) {
           auto* sub = static_cast<CacheSubscriber*>(context);
@@ -338,7 +336,7 @@ SimRun::SimRun(const trace::ContactTrace& trace_in, const Catalog& catalog,
 
   // Policies that track global state seed themselves from the initial
   // allocation (e.g. HillClimbPolicy).
-  policy.on_initialized(soa.replica_counts());
+  policy.on_initialized(replica_counts);
 }
 
 // ---- per-slot steps, shared by both kernels --------------------------
@@ -451,7 +449,7 @@ void deliver_meetings(SimRun& run, Slot slot,
 void sample_metrics(SimRun& run, Slot slot) {
   if (!run.sampling_active) return;
   const auto time = static_cast<double>(slot);
-  const std::vector<int>& counts = run.soa.replica_counts();
+  const std::vector<int>& counts = run.replica_counts;
   if (run.options.expected_welfare) {
     run.result.expected_series.push_back(
         {time, run.options.expected_welfare(std::span<const int>(counts))});
@@ -651,7 +649,7 @@ SimulationResult finish(SimRun& run) {
     }
   }
 
-  result.final_counts = run.soa.replica_counts();
+  result.final_counts = run.replica_counts;
   result.total_gain = run.total_gain;
   result.observed_series = run.observed.rate_series();
   result.fulfillments = run.fulfillments;

@@ -96,21 +96,7 @@ void SnapshotChain::finalize(StateStore& store) {
   // can collide with an existing `<...>.base.<seq>`; the content is a
   // deterministic function of the state, so the atomic overwrite is
   // byte-identical and the recorded checksum stays valid.
-  std::vector<std::string> old_files;
-  for (const Element& e : elements_) old_files.push_back(e.file);
-
-  const StateImage image = store.checkpoint_image();
-  Element element;
-  element.is_base = true;
-  element.seq = image.seq;
-  element.file = basename_ + ".base." + std::to_string(image.seq);
-  element.checksum = save_image(full_path(element.file), image);
-  elements_.clear();
-  elements_.push_back(std::move(element));
-  last_seq_ = image.seq;
-  have_chain_ = true;
-  commit_manifest();
-  remove_stale(old_files);
+  write_base(store);
 }
 
 void SnapshotChain::commit_manifest() {

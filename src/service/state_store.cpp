@@ -204,6 +204,9 @@ void StateStore::init_from_image(const StateImage& image) {
       if (item >= config_.num_items || count <= 0) {
         throw util::IoError("StateStore: snapshot mandate entry invalid");
       }
+      if (node.mandates().count(item) != 0) {
+        throw util::IoError("StateStore: snapshot mandates repeat an item");
+      }
       node.mandates().add(item, count);
     }
     for (const core::PendingRequest& req : ni.pending) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "impatience/core/node.hpp"
 
 namespace impatience::core {
@@ -47,6 +49,38 @@ TEST(MandateBag, ActiveItems) {
   EXPECT_EQ(items[1], 4u);
 }
 
+TEST(MandateBag, TakingAMiddleEntryKeepsTheOthers) {
+  MandateBag bag(6);
+  bag.add(1, 2);
+  bag.add(3, 4);
+  bag.add(5, 6);
+  EXPECT_EQ(bag.take(3, 4), 4);  // removes the middle entry
+  EXPECT_EQ(bag.count(1), 2);
+  EXPECT_EQ(bag.count(3), 0);
+  EXPECT_EQ(bag.count(5), 6);
+  EXPECT_EQ(bag.total(), 8);
+  EXPECT_EQ(bag.active_items(), (std::vector<ItemId>{1, 5}));
+  bag.add(3, 1);  // re-activates after the swap-remove
+  EXPECT_EQ(bag.count(3), 1);
+  EXPECT_EQ(bag.count(5), 6);
+  EXPECT_EQ(bag.active_items(), (std::vector<ItemId>{1, 3, 5}));
+}
+
+TEST(MandateBag, DrainReturnsTheTotalAndTheBagIsReusable) {
+  MandateBag bag(4);
+  bag.add(0, 3);
+  bag.add(2, 4);
+  EXPECT_EQ(bag.drain(), 7);
+  EXPECT_TRUE(bag.empty());
+  EXPECT_EQ(bag.count(0), 0);
+  EXPECT_EQ(bag.count(2), 0);
+  EXPECT_TRUE(bag.active_items().empty());
+  bag.add(2, 1);
+  EXPECT_EQ(bag.count(2), 1);
+  EXPECT_EQ(bag.total(), 1);
+  EXPECT_EQ(bag.active_items(), (std::vector<ItemId>{2}));
+}
+
 TEST(MandateBag, Validation) {
   EXPECT_THROW(MandateBag(0), std::invalid_argument);
   MandateBag bag(2);
@@ -84,6 +118,46 @@ TEST(Node, HoldsChecksCache) {
   EXPECT_TRUE(n.holds(1));
   Node client(1, 3, 2, false, true);
   EXPECT_FALSE(client.holds(1));
+}
+
+TEST(Node, StateSurvivesVectorReallocation) {
+  std::vector<Node> nodes;
+  nodes.emplace_back(0, 4, 2, true, true);
+  nodes[0].note_server_meeting();
+  nodes[0].note_server_meeting();
+  nodes[0].create_request(3, 5);
+  nodes[0].mandates().add(1, 2);
+  const std::size_t capacity = nodes.capacity();
+  while (nodes.capacity() == capacity) {
+    const auto id = static_cast<NodeId>(nodes.size());
+    nodes.emplace_back(id, 4, 2, true, true);
+  }
+  EXPECT_TRUE(nodes[0].has_pending(3));
+  EXPECT_FALSE(nodes[0].has_pending(2));
+  EXPECT_EQ(nodes[0].server_meetings(), 2);
+  EXPECT_EQ(nodes[0].mandates().count(1), 2);
+  nodes[0].note_server_meeting();  // the moved clock is still live
+  EXPECT_EQ(nodes[0].server_meetings(), 3);
+  EXPECT_FALSE(nodes.back().has_pending(3));
+  EXPECT_EQ(nodes.back().server_meetings(), 0);
+}
+
+TEST(Node, CrashClearsPendingCounters) {
+  Node node(0, 4, 2, true, true);
+  node.create_request(1, 0);
+  node.create_request(1, 2);
+  node.create_request(3, 2);
+  node.mandates().add(2, 5);
+  const Node::CrashLosses losses = node.crash(/*persist_cache=*/false);
+  EXPECT_EQ(losses.requests, 3u);
+  EXPECT_EQ(losses.mandates, 5);
+  EXPECT_TRUE(node.pending().empty());
+  for (ItemId item = 0; item < 4; ++item) {
+    EXPECT_FALSE(node.has_pending(item)) << item;
+  }
+  node.create_request(3, 4);  // the counters restart from zero
+  EXPECT_TRUE(node.has_pending(3));
+  EXPECT_FALSE(node.has_pending(1));
 }
 
 TEST(Node, RelayNodeCarriesMandates) {

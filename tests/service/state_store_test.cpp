@@ -416,6 +416,52 @@ TEST(ServiceSnapshot, HugeDelaysCountIsAnIoError) {
                util::IoError);
 }
 
+/// The util::IoError message that restoring the sealed image `text`
+/// raises, or "" if it restores.
+std::string restore_error(const std::string& text) {
+  try {
+    StateStore restored(small_config(), 21, read_image_text(text));
+  } catch (const util::IoError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The mandate records parse, so these reach the store's own checks.
+TEST(ServiceSnapshot, MandateItemBeyondTheCatalogIsAnIoError) {
+  const SealedFiles files = sealed_files();
+  EXPECT_EQ(restore_error(files.image), "");  // control
+  for (const char* line : {"mandates 1 12 1", "mandates 1 4294967295 1"}) {
+    EXPECT_NE(restore_error(with_record(files.image, "mandates ", line))
+                  .find("mandate entry invalid"),
+              std::string::npos)
+        << line;
+  }
+}
+
+TEST(ServiceSnapshot, NonPositiveMandateCountIsAnIoError) {
+  const SealedFiles files = sealed_files();
+  for (const char* line : {"mandates 1 3 0", "mandates 1 3 -2"}) {
+    EXPECT_NE(restore_error(with_record(files.image, "mandates ", line))
+                  .find("mandate entry invalid"),
+              std::string::npos)
+        << line;
+  }
+}
+
+TEST(ServiceSnapshot, RepeatedMandateItemIsAnIoError) {
+  // Merging the two entries would load as count 2 and re-serialize to
+  // different bytes than the file that was read.
+  const SealedFiles files = sealed_files();
+  EXPECT_EQ(restore_error(with_record(files.image, "mandates ",
+                                      "mandates 2 3 1 5 1")),
+            "");  // control: distinct items restore
+  EXPECT_NE(restore_error(with_record(files.image, "mandates ",
+                                      "mandates 2 3 1 3 1"))
+                .find("mandates repeat an item"),
+            std::string::npos);
+}
+
 TEST(ServiceStateStore, RestoreRefusesMismatchedScenario) {
   StateStore store(small_config(), 9);
   TempFile file("mismatch");
