@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "impatience/alloc/discrete_gain.hpp"
 #include "impatience/alloc/rounding.hpp"
 #include "impatience/core/experiment.hpp"
 #include "impatience/core/mean_field.hpp"
@@ -406,10 +409,10 @@ MeanFieldModel golden_model() {
 }
 
 void expect_competitors_golden(const utility::DelayUtility& u,
+                               const std::vector<double>& demand,
+                               const MeanFieldModel& m, int rho,
                                const std::vector<GoldenCompetitor>& golden) {
-  const auto demand = Catalog::pareto(10, 1.0, 1.0).demands();
-  const MeanFieldModel m = golden_model();
-  const auto competitors = mean_field_competitors(demand, u, m, 3);
+  const auto competitors = mean_field_competitors(demand, u, m, rho);
   ASSERT_EQ(competitors.size(), golden.size());
   for (std::size_t k = 0; k < golden.size(); ++k) {
     EXPECT_EQ(competitors[k].name, golden[k].name);
@@ -418,6 +421,12 @@ void expect_competitors_golden(const utility::DelayUtility& u,
               golden[k].welfare)
         << golden[k].name;
   }
+}
+
+void expect_competitors_golden(const utility::DelayUtility& u,
+                               const std::vector<GoldenCompetitor>& golden) {
+  expect_competitors_golden(u, Catalog::pareto(10, 1.0, 1.0).demands(),
+                            golden_model(), 3, golden);
 }
 
 const std::vector<double> kGoldenSqrt{36, 25, 21, 18, 16, 15, 13, 13, 12, 11};
@@ -477,6 +486,158 @@ TEST(MeanFieldGolden, StepQcrMatchesCapture) {
                                  17.442554101624324, 16.795363085620064,
                                  16.27702966610153, 15.851074153600438,
                                  15.494024134231713, 15.18995457254983}));
+}
+
+// --------------------------------------------------------------------
+// Exact captures where the gain table saturates: N = 20000, mu = 0.05,
+// T = 500, 50 Pareto items, rho = 5. The per-slot hazard
+// q = 1 - (1 - mu)^x reaches exactly 1.0 at x = 730, so every row above
+// it is the q == 1 tail that the small goldens above never reach. The
+// whole table is pinned through an FNV-1a hash of its rows and of its
+// marginals (the bit patterns, least significant byte first).
+
+MeanFieldModel saturating_model() {
+  MeanFieldModel m;
+  m.mu = 0.05;
+  m.num_nodes = 20000;
+  m.horizon = 500;
+  return m;
+}
+
+std::vector<double> saturating_demand() {
+  return Catalog::pareto(50, 1.0, 1.0).demands();
+}
+
+std::uint64_t fnv1a_bits(std::uint64_t hash, double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (bits >> (8 * byte)) & 0xffu;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+void expect_saturating_table(const utility::DelayUtility& u,
+                             std::uint64_t gain_hash,
+                             std::uint64_t marginal_hash) {
+  const MeanFieldModel m = saturating_model();
+  const auto n = static_cast<long>(m.num_nodes);
+  const alloc::DiscreteGainTable table(u, m, n);
+  ASSERT_EQ(table.max_replicas(), n);
+  std::uint64_t gains = 14695981039346656037ull;
+  std::uint64_t marginals = gains;
+  for (long x = 0; x <= n; ++x) {
+    gains = fnv1a_bits(gains, table.gain(static_cast<double>(x)));
+  }
+  for (long x = 0; x < n; ++x) {
+    marginals = fnv1a_bits(marginals, table.marginal(x));
+  }
+  EXPECT_EQ(gains, gain_hash);
+  EXPECT_EQ(marginals, marginal_hash);
+}
+
+std::vector<double> saturating_uni() {
+  return std::vector<double>(50, 2000.0);
+}
+
+std::vector<double> saturating_sqrt() {
+  return {7842, 5545, 4527, 3921, 3507, 3201, 2964, 2772, 2614, 2480,
+          2364, 2264, 2175, 2096, 2025, 1960, 1902, 1848, 1799, 1753,
+          1711, 1672, 1635, 1601, 1568, 1538, 1509, 1482, 1456, 1432,
+          1408, 1386, 1365, 1345, 1326, 1307, 1289, 1272, 1256, 1240,
+          1225, 1210, 1196, 1182, 1169, 1156, 1144, 1132, 1120, 1109};
+}
+
+std::vector<double> saturating_prop() {
+  return {20000, 11431, 7621, 5716, 4572, 3810, 3266, 2858, 2540, 2286,
+          2078,  1905,  1759, 1633, 1524, 1429, 1345, 1270, 1203, 1143,
+          1089,  1039,  994,  953,  915,  879,  847,  817,  788,  762,
+          738,   714,   693,  672,  653,  635,  618,  602,  586,  572,
+          558,   544,   532,  520,  508,  497,  486,  476,  467,  457};
+}
+
+std::vector<double> saturating_dom() {
+  std::vector<double> counts(50, 0.0);
+  for (std::size_t i = 0; i < 5; ++i) counts[i] = 20000;
+  return counts;
+}
+
+TEST(MeanFieldGolden, SaturatingPowerTableMatchesCapture) {
+  expect_saturating_table(utility::PowerUtility(-1.0), 0x00af0be1f4dfc34aull,
+                          0x37f3a8a26f9c052aull);
+}
+
+TEST(MeanFieldGolden, SaturatingStepTableMatchesCapture) {
+  expect_saturating_table(utility::StepUtility(10.0), 0xc66dbd91c785541aull,
+                          0xbb57a913154ff3c5ull);
+}
+
+TEST(MeanFieldGolden, SaturatingPowerCompetitorsMatchCapture) {
+  expect_competitors_golden(
+      utility::PowerUtility(-1.0), saturating_demand(), saturating_model(), 5,
+      {{"OPT",
+        {20000, 20000, 20000, 20000, 14059, 188, 174, 166, 161, 156,
+         153,   150,   147,   145,   143,   141, 139, 138, 136, 135,
+         134,   133,   132,   131,   130,   129, 128, 127, 126, 125,
+         124,   124,   123,   122,   122,   121, 120, 120, 119, 119,
+         118,   118,   117,   117,   116,   116, 115, 115, 114, 114},
+        -0.25181668067004459},
+       {"UNI", saturating_uni(), -0.45000000000000029},
+       {"SQRT", saturating_sqrt(), -0.39843371142607825},
+       {"PROP", saturating_prop(), -0.30945579153921399},
+       {"DOM", saturating_dom(), -20706.179365585635}});
+}
+
+TEST(MeanFieldGolden, SaturatingStepCompetitorsMatchCapture) {
+  // Past q == 1 every request is served within tau, so the marginals are
+  // exactly zero and the greedy stops at 73 replicas per item.
+  expect_competitors_golden(
+      utility::StepUtility(10.0), saturating_demand(), saturating_model(), 5,
+      {{"OPT", std::vector<double>(50, 73.0), 1.0000000000000004},
+       {"UNI", saturating_uni(), 1.0000000000000004},
+       {"SQRT", saturating_sqrt(), 1.0000000000000004},
+       {"PROP", saturating_prop(), 1.0000000000000004},
+       {"DOM", saturating_dom(), 0.51636208057262944}});
+}
+
+TEST(MeanFieldGolden, SaturatingPowerQcrMatchesCapture) {
+  const auto r = mean_field_qcr(saturating_demand(),
+                                utility::PowerUtility(-1.0),
+                                saturating_model(), 5);
+  EXPECT_EQ(r.mean_welfare_rate, -0.44991583133509117);
+  EXPECT_EQ(r.final_welfare_rate, -0.44983225375175995);
+  EXPECT_EQ(r.steps, 19);
+  EXPECT_EQ(r.rejected_steps, 0);
+  EXPECT_EQ(r.final_counts.x,
+            (std::vector<double>{
+                2022.4554292494422, 2010.1873936677002, 2006.0627044395801,
+                2003.9936271783445, 2002.750012576427,  2001.9200295184085,
+                2001.3267393809729, 2000.8815279746009, 2000.5351077880748,
+                2000.2578804266268, 2000.0309976902327, 1999.8418872280231,
+                1999.6818411901979, 1999.5446373452901, 1999.425711267286,
+                1999.3216386974962, 1999.2298004608708, 1999.1481589952432,
+                1999.0751054013917, 1999.0093523478943, 1998.9498575553914,
+                1998.8957681363024, 1998.8463794462859, 1998.8011042171961,
+                1998.759449094224,  1998.7209965847949, 1998.6853910168693,
+                1998.6523275047605, 1998.6215431968501, 1998.5928102729865,
+                1998.5659302966576, 1998.5407296256824, 1998.5170556570083,
+                1998.494773733906,  1998.4737645831876, 1998.4539221793846,
+                1998.4351519551494, 1998.417369294137,  1998.4004982556621,
+                1998.384470490603,  1998.3692243158987, 1998.3547039212176,
+                1998.3408586862943, 1998.3276425913236, 1998.315013705949,
+                1998.3029337448888, 1998.2913676802641, 1998.2802834023844,
+                1998.2696514220518, 1998.2594446085834}));
+}
+
+TEST(MeanFieldGolden, SaturatingStepQcrMatchesCapture) {
+  const auto r = mean_field_qcr(saturating_demand(), utility::StepUtility(10.0),
+                                saturating_model(), 5);
+  EXPECT_EQ(r.mean_welfare_rate, 1.0000000000000002);
+  EXPECT_EQ(r.final_welfare_rate, 1.0000000000000004);
+  EXPECT_EQ(r.steps, 19);
+  EXPECT_EQ(r.rejected_steps, 0);
+  EXPECT_EQ(r.final_counts.x, std::vector<double>(50, 2000.0));
 }
 
 }  // namespace
