@@ -3,10 +3,10 @@
 //
 // Serve mode (default): own the live QCR cache state, ingest protocol
 // frames from a Unix socket / file / stdin, expose /metrics, persist
-// crash-safe snapshots, support warm restart:
+// crash-safe snapshots, support warm restart (one command, wrapped):
 //
-//   replicationd --nodes 50 --items 50 --capacity 5 \
-//       --socket /tmp/repl.sock --port 0 --announce /tmp/repl.announce \
+//   replicationd --nodes 50 --items 50 --capacity 5
+//       --socket /tmp/repl.sock --port 0 --announce /tmp/repl.announce
 //       --snapshot /tmp/repl.snap --snapshot-interval 30s --seed 7
 //   replicationd ... --restore          # warm restart from the snapshot
 //

@@ -57,17 +57,31 @@ class Node {
   /// Registers a new request. Throws std::logic_error for non-clients.
   void create_request(ItemId item, Slot now);
 
-  /// True if at least one pending request targets `item`. O(1) via a
-  /// per-item counter maintained by create_request/note_fulfilled; lets
-  /// the meeting protocol skip the fulfilment scan when the provider's
-  /// cache holds nothing this node is waiting for.
+  /// Warm-restart support (service::StateStore): appends a persisted
+  /// request as is (creation slot and clock snapshot included) and marks
+  /// its item pending. Throws std::logic_error for non-clients.
+  void restore_request(const PendingRequest& request);
+
+  /// True if at least one pending request targets `item`: one bit per
+  /// item, set by create_request/restore_request and kept exact by the
+  /// meeting compaction (note_fulfilled/note_kept). Lets the meeting
+  /// protocol skip the fulfilment scan when the provider's cache holds
+  /// nothing this node is waiting for.
   bool has_pending(ItemId item) const noexcept {
-    return pending_count_[item] != 0;
+    return (pending_bits_[item / 64] >> (item % 64)) & 1u;
   }
 
-  /// Records that one pending request for `item` left the pending list
-  /// (fulfilled). Must be called once per removed request.
-  void note_fulfilled(ItemId item) noexcept { --pending_count_[item]; }
+  /// Meeting compaction support (meeting.cpp): a request for `item` left
+  /// the pending list (fulfilled), or stayed on it (kept). A bit holds no
+  /// count, so this is exact only while, for every item, all fulfilled
+  /// requests of one pass come before all kept ones; the compaction pass
+  /// guarantees that ordering.
+  void note_fulfilled(ItemId item) noexcept {
+    pending_bits_[item / 64] &= ~(std::uint64_t{1} << (item % 64));
+  }
+  void note_kept(ItemId item) noexcept {
+    pending_bits_[item / 64] |= std::uint64_t{1} << (item % 64);
+  }
 
   /// Records a meeting with a server (the query-counter clock). Called by
   /// the meeting protocol before fulfilment, so the fulfilling meeting is
@@ -77,8 +91,6 @@ class Node {
   long server_meetings() const noexcept { return server_meetings_; }
   /// Warm-restart support (service::StateStore): sets the query-counter
   /// clock directly when rebuilding a node from a persisted snapshot.
-  /// Must run before the pending list is restored, since create_request
-  /// snapshots the clock.
   void restore_server_meetings(long meetings) noexcept {
     server_meetings_ = meetings;
   }
@@ -108,7 +120,8 @@ class Node {
   std::optional<Cache> cache_;
   MandateBag mandates_;
   std::vector<PendingRequest> pending_;
-  std::vector<std::uint32_t> pending_count_;  // outstanding requests per item
+  // Bit i % 64 of word i / 64: at least one pending request for item i.
+  std::vector<std::uint64_t> pending_bits_;
   long server_meetings_ = 0;  // query-counter clock (PendingRequest)
 };
 

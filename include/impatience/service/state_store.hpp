@@ -241,6 +241,9 @@ class StateStore {
   StateDelta take_delta();
   /// Nodes currently dirty (monitoring/test hook).
   std::size_t dirty_node_count() const;
+  /// Copy of one node, taken under the lock (test hook: it carries the
+  /// pending-item index, which the image leaves out).
+  core::Node node(NodeId id) const;
 
   StoreCounters counters() const;
   fault::FaultCounters faults() const;

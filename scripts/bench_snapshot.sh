@@ -2,7 +2,7 @@
 # Perf snapshot for the greedy/simulator hot paths (see docs/perf.md).
 #
 # Runs the QCR simulator benchmark (BM_SimulatorQcr: mandate bags and
-# pending counters under load) and the before/after micro-benchmark
+# pending bits under load) and the before/after micro-benchmark
 # pairs — marginal-gain evaluation, the fig5-like end-to-end greedy
 # (98 nodes, 500 items), one fig5_sim sweep point's placements
 # (per-trial build vs one plan), the transform memo, demand sampling

@@ -24,8 +24,8 @@ void fulfil_from(MeetingContext& context, Node& requester, Node& provider) {
   auto& pending = requester.pending();
 
   // O(rho) prefilter: scan the provider's cache against the requester's
-  // per-item pending counters before walking the pending list. Most
-  // meetings fulfil nothing, so this skips the compaction pass entirely.
+  // per-item pending bits before walking the pending list. Most meetings
+  // fulfil nothing, so this skips the compaction pass entirely.
   bool any_match = false;
   for (ItemId item : provider.cache().items()) {
     if (requester.has_pending(item)) {
@@ -35,10 +35,19 @@ void fulfil_from(MeetingContext& context, Node& requester, Node& provider) {
   }
   if (!any_match) return;
 
+  // The pass keeps the pending bits exact without counts: it clears an
+  // item's bit when it fulfils a request and sets it again when it keeps
+  // one. Within one pass provider.holds() is fixed (fulfilment touches
+  // only the requester's list and mandates) and transfer_budget never
+  // rises, so for any item every fulfilled request comes before every
+  // kept one, and the last write to a bit is the right one. A kept
+  // request for an item the provider does not hold needs no write: only
+  // held items have their bits cleared.
   std::size_t kept = 0;
   for (std::size_t k = 0; k < pending.size(); ++k) {
     PendingRequest& req = pending[k];
-    if (provider.holds(req.item) && context.transfer_budget != 0) {
+    const bool held = provider.holds(req.item);
+    if (held && context.transfer_budget != 0) {
       if (context.transfer_budget > 0) --context.transfer_budget;
       const double delay =
           static_cast<double>(context.now - req.created) + 1.0;
@@ -51,6 +60,7 @@ void fulfil_from(MeetingContext& context, Node& requester, Node& provider) {
       context.policy->on_fulfillment(requester, provider, req.item, queries,
                                      *context.rng);
     } else {
+      if (held) requester.note_kept(req.item);
       pending[kept++] = req;
     }
   }

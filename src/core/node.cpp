@@ -10,7 +10,7 @@ Node::Node(NodeId id, ItemId num_items, int cache_capacity, bool is_server,
     : id_(id),
       is_client_(is_client),
       mandates_(num_items),
-      pending_count_(num_items, 0) {
+      pending_bits_((static_cast<std::size_t>(num_items) + 63) / 64, 0) {
   if (is_server) {
     cache_.emplace(cache_capacity);
   }
@@ -40,7 +40,7 @@ Node::CrashLosses Node::crash(bool persist_cache) {
   losses.mandates = mandates_.drain();
   losses.requests = pending_.size();
   pending_.clear();
-  std::fill(pending_count_.begin(), pending_count_.end(), 0u);
+  std::fill(pending_bits_.begin(), pending_bits_.end(), 0u);
   return losses;
 }
 
@@ -49,7 +49,15 @@ void Node::create_request(ItemId item, Slot now) {
     throw std::logic_error("Node::create_request: node is not a client");
   }
   pending_.push_back({item, now, server_meetings_});
-  ++pending_count_[item];
+  note_kept(item);
+}
+
+void Node::restore_request(const PendingRequest& request) {
+  if (!is_client_) {
+    throw std::logic_error("Node::restore_request: node is not a client");
+  }
+  pending_.push_back(request);
+  note_kept(request.item);
 }
 
 }  // namespace impatience::core

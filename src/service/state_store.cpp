@@ -213,10 +213,7 @@ void StateStore::init_from_image(const StateImage& image) {
       if (req.item >= config_.num_items) {
         throw util::IoError("StateStore: snapshot pending item out of range");
       }
-      // create_request snapshots the (already restored) meeting clock;
-      // overwrite with the persisted creation-time values.
-      node.create_request(req.item, req.created);
-      node.pending().back() = req;
+      node.restore_request(req);
     }
   }
 
@@ -500,6 +497,11 @@ StateDelta StateStore::take_delta() {
 std::size_t StateStore::dirty_node_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dirty_list_.size();
+}
+
+core::Node StateStore::node(NodeId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return nodes_.at(id);
 }
 
 void StateStore::save_snapshot(const std::string& path) const {

@@ -76,7 +76,9 @@ TEST(Runner, FailedJobIsIsolatedAndReported) {
   EXPECT_NE(report.jobs[3].result.error.find("boom trial 3"),
             std::string::npos);
   for (std::size_t i = 0; i < report.jobs.size(); ++i) {
-    if (i != 3) EXPECT_TRUE(report.jobs[i].result.ok) << i;
+    if (i != 3) {
+      EXPECT_TRUE(report.jobs[i].result.ok) << i;
+    }
   }
   // The failed job's sample is excluded from the aggregate.
   EXPECT_EQ(report.aggregate.samples("P0", 0.0).size(), 4u);
