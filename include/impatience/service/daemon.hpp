@@ -6,17 +6,21 @@
 //              frames to the store;
 //  * monitor — an HttpServer thread serving GET /metrics, /healthz and
 //              /snapshot on 127.0.0.1;
-//  * persist — a background thread writing crash-safe snapshots every
-//              --snapshot-interval, plus deterministic by-sequence
-//              snapshots every --snapshot-every events (the replayable
-//              kind the warm-restart tests pin down), plus one final
-//              snapshot on graceful shutdown.
+//  * persist — a writer thread (started only when --snapshot-every or
+//              --snapshot-interval is set) that serializes and writes the
+//              deterministic by-sequence snapshots every --snapshot-every
+//              events (the replayable kind the warm-restart tests pin
+//              down) and takes its own --snapshot-interval snapshots.
+//              Ingest only captures a boundary under the store lock and
+//              hands it over; GET /snapshot and the final snapshot on
+//              graceful shutdown capture and persist before returning.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -24,6 +28,7 @@
 #include <thread>
 
 #include "impatience/service/metrics.hpp"
+#include "impatience/service/snapshot_chain.hpp"
 #include "impatience/service/state_store.hpp"
 #include "impatience/util/errors.hpp"
 
@@ -170,8 +175,9 @@ class ReplicationDaemon {
   /// preserved, so the engine classifies deadline vs shutdown).
   void run(const util::CancellationToken* token);
 
-  /// Requests run() to unwind; safe from any thread / signal context
-  /// consumers (only touches atomics and condition variables).
+  /// Requests run() to unwind and the snapshot writer to exit once its
+  /// queue is empty; safe from any thread (it takes the writer's mutex,
+  /// so it is not for a signal handler: cancel the token instead).
   void stop();
 
   /// True after a restore-mode construction actually loaded a snapshot.
@@ -189,7 +195,20 @@ class ReplicationDaemon {
   const IngestCounters& ingest() const noexcept { return ingest_; }
 
  private:
-  void snapshot_now();
+  /// By-sequence boundary on the ingest thread: waits for the previous
+  /// persist, captures, and hands the capture to the writer thread.
+  void snapshot_async();
+  /// Synchronous snapshot (GET /snapshot, the final one with `final`):
+  /// drains the writer, captures and persists before returning. Returns
+  /// the version now on disk.
+  std::uint64_t snapshot_now(bool final = false);
+  /// Waits (under snapshot_mu_) until no persist is in flight, counting
+  /// the wait, and rethrows a failure the writer thread hit.
+  void await_idle_locked(std::unique_lock<std::mutex>& lock);
+  SnapshotCapture capture(bool final);
+  /// Serializes and writes one capture, records it in the metrics, and
+  /// ends the in-flight period (also when the write throws).
+  void persist(SnapshotCapture capture);
   void snapshot_loop();
   std::string render() const;
   void write_announce_file() const;
@@ -201,12 +220,21 @@ class ReplicationDaemon {
   IngestCounters ingest_;
   std::unique_ptr<LineSource> source_;
   std::unique_ptr<class HttpServer> http_;
-  std::unique_ptr<class SnapshotChain> chain_;  // snapshot_deltas mode
+  std::unique_ptr<SnapshotChain> chain_;  // snapshot_deltas mode
   std::uint16_t tcp_port_ = 0;
 
   std::atomic<bool> stop_{false};
-  std::mutex snapshot_mu_;  // serializes snapshot writers (timer vs HTTP)
+  /// Snapshot writer state. At most one snapshot is in flight, from its
+  /// capture until its persist returns, so captures (and with them files
+  /// and manifest entries) are strictly ordered and at most one image is
+  /// alive. stop() and every hand-over take snapshot_mu_, and the writer
+  /// waits on snapshot_cv_ with a predicate, so no wake-up is lost.
+  std::mutex snapshot_mu_;
   std::condition_variable snapshot_cv_;
+  std::optional<SnapshotCapture> queued_;  ///< handed over, not yet taken
+  bool in_flight_ = false;
+  bool writer_running_ = false;  ///< the writer thread still takes work
+  std::exception_ptr writer_error_;  ///< persist failure, rethrown once
   std::thread snapshot_thread_;
 
   std::chrono::steady_clock::time_point start_time_;

@@ -23,11 +23,16 @@ class ServiceMetrics {
  public:
   /// Records one event-apply wall latency (microseconds).
   void record_apply_latency(double us);
-  /// Records a completed snapshot persisted at the given store version.
-  void record_snapshot(std::uint64_t version);
+  /// Records a snapshot persisted at the given store version, whose
+  /// serialize + write took `write_seconds`.
+  void record_snapshot(std::uint64_t version, double write_seconds);
+  /// Records a snapshot capture that waited for an in-flight persist.
+  void record_snapshot_wait();
 
   std::uint64_t snapshots_total() const;
   std::uint64_t snapshot_last_version() const;
+  std::uint64_t snapshot_waits_total() const;
+  double snapshot_write_seconds_last() const;
 
   /// p-th percentile of the recent apply-latency window (us); 0 when
   /// empty.
@@ -40,6 +45,8 @@ class ServiceMetrics {
   std::vector<double> latencies_us_;  // chronological, <= kWindow
   std::uint64_t snapshots_ = 0;
   std::uint64_t snapshot_last_version_ = 0;
+  std::uint64_t snapshot_waits_ = 0;
+  double snapshot_write_seconds_last_ = 0.0;
 };
 
 /// Renders the full /metrics document from a store + monitor state.

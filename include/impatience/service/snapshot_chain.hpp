@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,8 +32,26 @@
 
 namespace impatience::service {
 
+/// One snapshot boundary taken under the store lock and not yet on disk:
+/// a full image (a plain snapshot or a chain base) or a dirty-node delta,
+/// or neither when a chain checkpoint finds the store unchanged. Plain
+/// data, so it can be serialized and written on another thread.
+struct SnapshotCapture {
+  std::optional<StateImage> image;
+  std::optional<StateDelta> delta;
+
+  bool empty() const noexcept { return !image && !delta; }
+  /// Store version the capture carries; 0 when empty.
+  std::uint64_t version() const noexcept {
+    return image ? image->version : delta ? delta->version : 0;
+  }
+};
+
 /// Writer side of a snapshot chain. One instance per daemon; not
-/// thread-safe (the daemon's snapshot path is single-threaded).
+/// thread-safe. Each checkpoint is a capture (under the store lock) and a
+/// persist (file + manifest), which may run on different threads as long
+/// as a capture is persisted before the next capture is taken: the
+/// base/delta decision and the parent link read the committed chain.
 class SnapshotChain {
  public:
   struct Options {
@@ -51,11 +70,21 @@ class SnapshotChain {
   /// delta_limit is reached — then commits the manifest. A checkpoint at
   /// an unchanged seq is skipped (nothing to persist). Returns the seq
   /// the chain now ends at.
-  std::uint64_t snapshot(StateStore& store);
+  std::uint64_t snapshot(StateStore& store) { return persist(capture(store)); }
 
   /// Graceful-exit collapse: writes a fresh full base, commits a
   /// one-element manifest, and removes the superseded chain files.
-  void finalize(StateStore& store);
+  void finalize(StateStore& store) { persist(capture_base(store)); }
+
+  /// Capture half of snapshot(): a delta of the dirty nodes, a full base
+  /// (empty chain or delta limit reached), or nothing (unchanged seq).
+  SnapshotCapture capture(StateStore& store) const;
+  /// Capture half of finalize(): always a full base.
+  static SnapshotCapture capture_base(StateStore& store);
+  /// Persist half: writes the capture's base or delta file, commits the
+  /// manifest, and after a base removes the superseded chain files. An
+  /// empty capture writes nothing. Returns the seq the chain now ends at.
+  std::uint64_t persist(SnapshotCapture capture);
 
   /// Elements (base + deltas) in the committed chain.
   std::size_t chain_length() const noexcept { return elements_.size(); }
@@ -82,7 +111,7 @@ class SnapshotChain {
     std::uint64_t seq = 0;
   };
 
-  void write_base(StateStore& store);
+  void write_base(const StateImage& image);
   void commit_manifest();
   void remove_stale(const std::vector<std::string>& old_files);
   std::string full_path(const std::string& basename) const;

@@ -3,7 +3,8 @@
 # label `service`):
 #
 #   Phase 1 — boot the daemon on a Unix socket with an ephemeral metrics
-#   port, stream 1k+ events through the socket, scrape /metrics, and shut
+#   port and --snapshot-every, stream 1k+ events through the socket,
+#   scrape /metrics (including the snapshot writer's counters), and shut
 #   down via SIGTERM (graceful: exit 0, final snapshot written).
 #
 #   Phase 2 — crash-safety + warm restart: run with --snapshot-every, kill
@@ -103,7 +104,7 @@ metric() {  # metric <file> <key>
 echo "== phase 1: boot, stream via socket, scrape /metrics, SIGTERM =="
 "$BIN" "${SCENARIO[@]}" \
     --socket "$WORK/repl.sock" --port 0 --announce "$WORK/announce.txt" \
-    --snapshot "$WORK/phase1.snap" \
+    --snapshot "$WORK/phase1.snap" --snapshot-every 200 \
     2> "$WORK/phase1.log" &
 DAEMON_PID=$!
 wait_for_file "$WORK/announce.txt"
@@ -127,12 +128,31 @@ SERVED="$(metric "$WORK/metrics.txt" replicationd_requests_served_total)"
 [[ "$SERVED" -gt 0 ]] || { echo "FAIL: no requests served"; exit 1; }
 [[ "$(http_get "$PORT" /healthz)" == "ok" ]] || { echo "FAIL: /healthz"; exit 1; }
 
+# Snapshot writer: every by-sequence boundary is counted once its persist
+# returns; waits count captures that found a persist still in flight.
+BOUNDARIES=$((TOTAL_FRAMES / 200))
+for _ in $(seq 100); do
+  http_get "$PORT" /metrics > "$WORK/metrics.txt" || true
+  [[ "$(metric "$WORK/metrics.txt" replicationd_snapshots_total)" == "$BOUNDARIES" ]] && break
+  sleep 0.1
+done
+SNAPSHOTS="$(metric "$WORK/metrics.txt" replicationd_snapshots_total)"
+WAITS="$(metric "$WORK/metrics.txt" replicationd_snapshot_waits_total)"
+WRITE_S="$(metric "$WORK/metrics.txt" replicationd_snapshot_write_seconds_last)"
+[[ "$SNAPSHOTS" == "$BOUNDARIES" ]] \
+  || { echo "FAIL: snapshots_total $SNAPSHOTS != $BOUNDARIES boundaries"; cat "$WORK/metrics.txt"; exit 1; }
+[[ "$WAITS" =~ ^[0-9]+$ && "$WAITS" -le "$SNAPSHOTS" ]] \
+  || { echo "FAIL: snapshot_waits_total '$WAITS' not in [0, $SNAPSHOTS]"; exit 1; }
+awk -v s="$WRITE_S" 'BEGIN { exit !(s ~ /^[0-9.e+-]+$/ && s + 0 > 0 && s + 0 < 60) }' \
+  || { echo "FAIL: snapshot_write_seconds_last '$WRITE_S' not in (0, 60)"; exit 1; }
+
 kill -TERM "$DAEMON_PID"
 wait_for_exit "$DAEMON_PID"
 wait "$DAEMON_PID" || { echo "FAIL: SIGTERM exit status $?"; exit 1; }
 DAEMON_PID=""
 [[ -s "$WORK/phase1.snap" ]] || { echo "FAIL: no final snapshot"; exit 1; }
-echo "phase 1 OK: $TOTAL_FRAMES events, $SERVED served, graceful SIGTERM"
+echo "phase 1 OK: $TOTAL_FRAMES events, $SERVED served, $SNAPSHOTS snapshots" \
+     "($WAITS waits, last write ${WRITE_S}s), graceful SIGTERM"
 
 echo "== phase 2: SIGKILL mid-run, --restore warm-restart equivalence =="
 # Reference: uninterrupted run over the whole stream.

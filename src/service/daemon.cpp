@@ -397,11 +397,9 @@ ReplicationDaemon::ReplicationDaemon(const DaemonConfig& config)
               return {400, "text/plain; charset=utf-8",
                       "no --snapshot path configured\n"};
             }
-            snapshot_now();
+            const std::uint64_t version = snapshot_now();
             return {200, "text/plain; charset=utf-8",
-                    "ok version " +
-                        std::to_string(metrics_.snapshot_last_version()) +
-                        "\n"};
+                    "ok version " + std::to_string(version) + "\n"};
           }
           return {404, "text/plain; charset=utf-8", "not found\n"};
         },
@@ -410,7 +408,11 @@ ReplicationDaemon::ReplicationDaemon(const DaemonConfig& config)
 
   if (!config_.announce_path.empty()) write_announce_file();
 
-  if (!config_.snapshot_path.empty() && config_.snapshot_interval_s > 0.0) {
+  // The writer thread exists only for periodic snapshots: without them
+  // the only snapshots are synchronous (GET /snapshot, the final one).
+  if (!config_.snapshot_path.empty() &&
+      (config_.snapshot_every > 0 || config_.snapshot_interval_s > 0.0)) {
+    writer_running_ = true;
     snapshot_thread_ = std::thread([this] { snapshot_loop(); });
   }
 }
@@ -426,7 +428,13 @@ std::uint16_t ReplicationDaemon::http_port() const noexcept {
 }
 
 void ReplicationDaemon::stop() {
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    // Set under the writer's mutex: the writer checks stop_ in its wait
+    // predicate under the same mutex, so this cannot land between its
+    // check and its wait and be lost.
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    stop_.store(true, std::memory_order_relaxed);
+  }
   snapshot_cv_.notify_all();
 }
 
@@ -446,6 +454,17 @@ void ReplicationDaemon::run(const util::CancellationToken* token) {
       }
     });
   }
+  // Joined on every way out of run(), a failed snapshot write included:
+  // destroying a joinable std::thread would end the process instead of
+  // letting the error reach the caller.
+  struct JoinOnExit {
+    std::atomic<bool>& done;
+    std::thread& thread;
+    ~JoinOnExit() {
+      done.store(true, std::memory_order_relaxed);
+      if (thread.joinable()) thread.join();
+    }
+  } join_watch{run_done, token_watch};
 
   // Countable lines are batched so the store lock is taken once per run
   // of buffered lines rather than once per line: the batch grows while
@@ -498,7 +517,7 @@ void ReplicationDaemon::run(const util::CancellationToken* token) {
     if (boundary || batch.size() >= kBatchCap ||
         !source_->has_buffered_line()) {
       flush();
-      if (boundary) snapshot_now();
+      if (boundary) snapshot_async();
     }
   }
   flush();
@@ -509,17 +528,10 @@ void ReplicationDaemon::run(const util::CancellationToken* token) {
 
   // Graceful exit always persists a final snapshot — including the
   // deadline path, where the state is still consistent (events are
-  // applied atomically) and worth keeping. In delta mode the chain is
-  // collapsed into a single fresh base.
-  if (!config_.snapshot_path.empty()) {
-    if (chain_) {
-      std::lock_guard<std::mutex> lock(snapshot_mu_);
-      chain_->finalize(*store_);
-      metrics_.record_snapshot(store_->version());
-    } else {
-      snapshot_now();
-    }
-  }
+  // applied atomically) and worth keeping. It waits for any by-sequence
+  // snapshot still in flight, so it is the last file written. In delta
+  // mode the chain is collapsed into a single fresh base.
+  if (!config_.snapshot_path.empty()) snapshot_now(/*final=*/true);
 
   if (token && token->cancelled() &&
       token->reason() == util::CancelReason::deadline) {
@@ -527,34 +539,120 @@ void ReplicationDaemon::run(const util::CancellationToken* token) {
   }
 }
 
-void ReplicationDaemon::snapshot_now() {
+void ReplicationDaemon::await_idle_locked(std::unique_lock<std::mutex>& lock) {
+  if (in_flight_) {
+    metrics_.record_snapshot_wait();
+    snapshot_cv_.wait(lock, [this] { return !in_flight_; });
+  }
+  if (writer_error_) std::rethrow_exception(std::exchange(writer_error_, {}));
+}
+
+SnapshotCapture ReplicationDaemon::capture(bool final) {
+  if (!chain_) return {store_->image(), std::nullopt};
+  // Incremental checkpoint: delta of the dirty nodes (or a fresh base at
+  // the delta limit); the final one collapses the chain into a base.
+  return final ? SnapshotChain::capture_base(*store_)
+               : chain_->capture(*store_);
+}
+
+void ReplicationDaemon::persist(SnapshotCapture capture) {
+  std::exception_ptr error;
+  try {
+    const auto t0 = Clock::now();
+    // Record the version the capture carries, not the store's (by now
+    // possibly newer) live version.
+    const std::uint64_t version = capture.version();
+    if (chain_) {
+      chain_->persist(std::move(capture));  // the manifest commits
+    } else {
+      save_image(config_.snapshot_path, *capture.image);
+      capture = {};  // the image dies before the next capture can start
+    }
+    metrics_.record_snapshot(version, seconds_since(t0, Clock::now()));
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    in_flight_ = false;
+  }
+  snapshot_cv_.notify_all();
+  if (error) std::rethrow_exception(error);
+}
+
+void ReplicationDaemon::snapshot_async() {
   if (config_.snapshot_path.empty()) return;
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (chain_) {
-    // Incremental checkpoint: delta of the dirty nodes (or a fresh base
-    // at the delta limit); the manifest write is the commit point.
-    chain_->snapshot(*store_);
-    metrics_.record_snapshot(store_->version());
+  std::unique_lock<std::mutex> lock(snapshot_mu_);
+  await_idle_locked(lock);
+  SnapshotCapture captured = capture(/*final=*/false);
+  if (captured.empty()) return;
+  in_flight_ = true;
+  if (writer_running_) {
+    queued_ = std::move(captured);
+    lock.unlock();
+    snapshot_cv_.notify_all();
     return;
   }
-  // Record the version the image actually carries, not the store's
-  // (possibly newer) live version.
-  const StateImage image = store_->image();
-  save_image(config_.snapshot_path, image);
-  metrics_.record_snapshot(image.version);
+  // stop() already retired the writer: persist here, as before it existed.
+  lock.unlock();
+  persist(std::move(captured));
+}
+
+std::uint64_t ReplicationDaemon::snapshot_now(bool final) {
+  std::unique_lock<std::mutex> lock(snapshot_mu_);
+  await_idle_locked(lock);
+  SnapshotCapture captured = capture(final);
+  if (captured.empty()) return metrics_.snapshot_last_version();
+  const std::uint64_t version = captured.version();
+  in_flight_ = true;
+  lock.unlock();
+  persist(std::move(captured));
+  return version;
 }
 
 void ReplicationDaemon::snapshot_loop() {
-  const auto interval = std::chrono::duration<double>(
-      config_.snapshot_interval_s);
-  std::mutex wait_mu;
-  std::unique_lock<std::mutex> lock(wait_mu);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    if (snapshot_cv_.wait_for(lock, interval) == std::cv_status::timeout &&
-        !stop_.load(std::memory_order_relaxed)) {
-      snapshot_now();
+  const bool timed = config_.snapshot_interval_s > 0.0;
+  const auto interval = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(config_.snapshot_interval_s));
+  auto next_tick = Clock::now() + interval;
+  const auto woken = [this] {
+    return queued_.has_value() || stop_.load(std::memory_order_relaxed);
+  };
+  std::unique_lock<std::mutex> lock(snapshot_mu_);
+  for (;;) {
+    if (timed) {
+      snapshot_cv_.wait_until(lock, next_tick, woken);
+    } else {
+      snapshot_cv_.wait(lock, woken);
     }
+    std::optional<SnapshotCapture> work = std::exchange(queued_, {});
+    if (!work) {
+      if (stop_.load(std::memory_order_relaxed)) break;
+      // Interval tick. A synchronous snapshot persisting right now
+      // already covers it.
+      next_tick = Clock::now() + interval;
+      if (in_flight_) continue;
+      try {
+        work = capture(/*final=*/false);
+      } catch (...) {
+        writer_error_ = std::current_exception();
+        continue;
+      }
+      if (work->empty()) continue;
+      in_flight_ = true;
+    }
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      persist(std::move(*work));
+    } catch (...) {
+      error = std::current_exception();
+    }
+    work.reset();
+    lock.lock();
+    if (error) writer_error_ = error;  // the next capture rethrows it
   }
+  writer_running_ = false;
 }
 
 std::string ReplicationDaemon::render() const {

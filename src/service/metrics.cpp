@@ -16,10 +16,17 @@ void ServiceMetrics::record_apply_latency(double us) {
   latencies_us_.push_back(us);
 }
 
-void ServiceMetrics::record_snapshot(std::uint64_t version) {
+void ServiceMetrics::record_snapshot(std::uint64_t version,
+                                     double write_seconds) {
   std::lock_guard<std::mutex> lock(mu_);
   ++snapshots_;
   snapshot_last_version_ = version;
+  snapshot_write_seconds_last_ = write_seconds;
+}
+
+void ServiceMetrics::record_snapshot_wait() {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++snapshot_waits_;
 }
 
 std::uint64_t ServiceMetrics::snapshots_total() const {
@@ -30,6 +37,16 @@ std::uint64_t ServiceMetrics::snapshots_total() const {
 std::uint64_t ServiceMetrics::snapshot_last_version() const {
   std::lock_guard<std::mutex> lock(mu_);
   return snapshot_last_version_;
+}
+
+std::uint64_t ServiceMetrics::snapshot_waits_total() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return snapshot_waits_;
+}
+
+double ServiceMetrics::snapshot_write_seconds_last() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return snapshot_write_seconds_last_;
 }
 
 double ServiceMetrics::apply_latency_percentile(double p) const {
@@ -90,6 +107,10 @@ std::string render_metrics(const StateStore& store,
   out << "replicationd_snapshots_total " << metrics.snapshots_total() << '\n';
   out << "replicationd_snapshot_last_version "
       << metrics.snapshot_last_version() << '\n';
+  out << "replicationd_snapshot_waits_total "
+      << metrics.snapshot_waits_total() << '\n';
+  out << "replicationd_snapshot_write_seconds_last "
+      << metrics.snapshot_write_seconds_last() << '\n';
   if (ingest != nullptr) {
     const auto load = [](const std::atomic<std::uint64_t>& a) {
       return a.load(std::memory_order_relaxed);

@@ -7,8 +7,8 @@
 #include <string_view>
 #include <utility>
 
-#include "impatience/engine/artifacts.hpp"
 #include "impatience/util/errors.hpp"
+#include "text_out.hpp"
 
 namespace impatience::service {
 
@@ -45,35 +45,51 @@ std::string SnapshotChain::full_path(const std::string& basename) const {
   return dir_ + basename;
 }
 
-std::uint64_t SnapshotChain::snapshot(StateStore& store) {
+SnapshotCapture SnapshotChain::capture(StateStore& store) const {
   if (have_chain_ && store.seq() == last_seq_) {
     // Nothing countable happened since the last element. Skipping keeps
     // file names unique per chain: re-emitting `<...>.delta.<seq>` would
     // overwrite a file whose checksum the manifest already records.
-    return last_seq_;
+    return {};
   }
   if (!have_chain_ || deltas_since_base() >= options_.delta_limit) {
-    write_base(store);
-    return last_seq_;
+    return capture_base(store);
   }
-  StateDelta delta = store.take_delta();
-  delta.parent_checksum = elements_.back().checksum;
-  Element element;
-  element.is_base = false;
-  element.seq = delta.seq;
-  element.file = basename_ + ".delta." + std::to_string(delta.seq);
-  element.checksum = save_delta(full_path(element.file), delta);
-  elements_.push_back(std::move(element));
-  last_seq_ = delta.seq;
-  commit_manifest();
+  return {std::nullopt, store.take_delta()};
+}
+
+SnapshotCapture SnapshotChain::capture_base(StateStore& store) {
+  return {store.checkpoint_image(), std::nullopt};
+}
+
+std::uint64_t SnapshotChain::persist(SnapshotCapture capture) {
+  if (capture.image) {
+    // finalize() forces a base even when the last element already sits
+    // at this seq: the collapsed chain must be a single file. The base
+    // file name can then collide with an existing `<...>.base.<seq>`;
+    // the content is a deterministic function of the state, so the
+    // atomic overwrite is byte-identical and the recorded checksum
+    // stays valid.
+    write_base(*capture.image);
+  } else if (capture.delta) {
+    StateDelta& delta = *capture.delta;
+    delta.parent_checksum = elements_.back().checksum;
+    Element element;
+    element.is_base = false;
+    element.seq = delta.seq;
+    element.file = basename_ + ".delta." + std::to_string(delta.seq);
+    element.checksum = save_delta(full_path(element.file), delta);
+    elements_.push_back(std::move(element));
+    last_seq_ = delta.seq;
+    commit_manifest();
+  }
   return last_seq_;
 }
 
-void SnapshotChain::write_base(StateStore& store) {
+void SnapshotChain::write_base(const StateImage& image) {
   std::vector<std::string> old_files;
   for (const Element& e : elements_) old_files.push_back(e.file);
 
-  const StateImage image = store.checkpoint_image();
   Element element;
   element.is_base = true;
   element.seq = image.seq;
@@ -90,26 +106,15 @@ void SnapshotChain::write_base(StateStore& store) {
   remove_stale(old_files);
 }
 
-void SnapshotChain::finalize(StateStore& store) {
-  // Force a fresh base even when the last element already sits at this
-  // seq: the collapsed chain must be a single file. The base file name
-  // can collide with an existing `<...>.base.<seq>`; the content is a
-  // deterministic function of the state, so the atomic overwrite is
-  // byte-identical and the recorded checksum stays valid.
-  write_base(store);
-}
-
 void SnapshotChain::commit_manifest() {
-  engine::atomic_write_file(options_.path + ".manifest",
-                            [this](std::ostream& out) {
-                              out << kManifestMagic << '\n';
-                              for (const Element& e : elements_) {
-                                out << (e.is_base ? "base " : "delta ")
-                                    << e.file << ' ' << e.checksum << ' '
-                                    << e.seq << '\n';
-                              }
-                              out << "end\n";
-                            });
+  detail::TextOut out(64 + 96 * elements_.size());
+  out << kManifestMagic << '\n';
+  for (const Element& e : elements_) {
+    out << (e.is_base ? "base " : "delta ") << e.file << ' ' << e.checksum
+        << ' ' << e.seq << '\n';
+  }
+  out << "end\n";
+  detail::write_text_file(options_.path + ".manifest", out.str());
 }
 
 void SnapshotChain::remove_stale(const std::vector<std::string>& old_files) {

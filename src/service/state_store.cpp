@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,17 +13,11 @@
 #include "impatience/stats/percentile.hpp"
 #include "impatience/util/errors.hpp"
 #include "impatience/utility/factory.hpp"
+#include "text_out.hpp"
 
 namespace impatience::service {
 
 namespace {
-
-/// %.17g round-trips every finite double through text exactly.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 bool config_equal(const StoreConfig& a, const StoreConfig& b) {
   return a.num_nodes == b.num_nodes && a.num_items == b.num_items &&
@@ -634,28 +626,30 @@ namespace {
 
 constexpr std::string_view kDeltaMagic = "impatience.replicationd_delta/1";
 
-void write_config_record(std::ostream& body, const StoreConfig& c) {
+using detail::TextOut;
+
+void write_config_record(TextOut& body, const StoreConfig& c) {
   body << "config " << c.num_nodes << ' ' << c.num_items << ' '
        << c.cache_capacity << ' ' << (c.sticky_replicas ? 1 : 0) << ' '
-       << fmt_double(c.mu) << ' ' << fmt_double(c.reaction_scale) << ' '
+       << c.mu << ' ' << c.reaction_scale << ' '
        << (c.mandate_routing ? 1 : 0) << ' ' << c.utility_spec << '\n';
 }
 
-void write_counters_record(std::ostream& body, const StoreCounters& k) {
+void write_counters_record(TextOut& body, const StoreCounters& k) {
   body << "counters " << k.events_applied << ' ' << k.events_malformed << ' '
        << k.contacts << ' ' << k.requests_created << ' '
        << k.immediate_fulfillments << ' ' << k.fulfillments << ' '
        << k.requests_pending << ' ' << k.mandates_created << ' '
        << k.replicas_written << ' ' << k.mandates_outstanding << ' '
-       << fmt_double(k.total_gain) << ' ' << fmt_double(k.delay_sum) << '\n';
+       << k.total_gain << ' ' << k.delay_sum << '\n';
 }
 
-void write_faults_record(std::ostream& body, const fault::FaultCounters& f) {
+void write_faults_record(TextOut& body, const fault::FaultCounters& f) {
   body << "faults " << f.crashes << ' ' << f.replicas_lost << ' '
        << f.mandates_lost << ' ' << f.requests_lost << '\n';
 }
 
-void write_node_records(std::ostream& body, std::uint64_t id,
+void write_node_records(TextOut& body, std::uint64_t id,
                         const StateImage::NodeImage& ni) {
   body << "node " << id << ' ' << ni.server_meetings << ' ' << ni.sticky
        << '\n';
@@ -675,18 +669,77 @@ void write_node_records(std::ostream& body, std::uint64_t id,
   body << '\n';
 }
 
-void write_delays_record(std::ostream& body, const std::vector<double>& d) {
+void write_delays_record(TextOut& body, const std::vector<double>& d) {
   body << "delays " << d.size();
-  for (double v : d) body << ' ' << fmt_double(v);
+  for (double v : d) body << ' ' << v;
   body << '\n';
 }
 
+/// Bytes to reserve for the writers' text, from typical record widths,
+/// so a real snapshot is written with one allocation. A short guess only
+/// costs the string a regrowth; reserved pages that stay untouched are
+/// never made resident.
+std::size_t reserve_bytes(const StoreConfig& config,
+                          const std::vector<double>& delays) {
+  return 512 + config.utility_spec.size() + 25 * delays.size();
+}
+std::size_t reserve_bytes(const StateImage::NodeImage& ni) {
+  return 64 + 8 * ni.cache.size() + 16 * ni.mandates.size() +
+         32 * ni.pending.size();
+}
+
 /// Appends "checksum <hex>\nend\n" and returns the body checksum.
-std::uint64_t seal_body(std::ostream& out, const std::string& text) {
-  const std::uint64_t sum = engine::fnv1a64(text);
-  char checksum[32];
-  std::snprintf(checksum, sizeof(checksum), "%016" PRIx64, sum);
-  out << text << "checksum " << checksum << '\n' << "end\n";
+std::uint64_t seal_body(TextOut& out) {
+  const std::uint64_t sum = engine::fnv1a64(out.str());
+  out << "checksum ";
+  out.hex16(sum) << '\n' << "end\n";
+  return sum;
+}
+
+/// The whole snapshot file as text; returns the body checksum.
+std::uint64_t encode_image(const StateImage& image, std::string& text) {
+  std::size_t bytes = reserve_bytes(image.config, image.recent_delays);
+  for (const StateImage::NodeImage& ni : image.nodes) {
+    bytes += reserve_bytes(ni);
+  }
+  TextOut body(bytes);
+  body << kMagic << '\n';
+  write_config_record(body, image.config);
+  body << "seed " << image.seed << '\n';
+  body << "state " << image.version << ' ' << image.seq << ' ' << image.clock
+       << '\n';
+  write_counters_record(body, image.counters);
+  write_faults_record(body, image.faults);
+  body << "nodes " << image.nodes.size() << '\n';
+  for (std::size_t n = 0; n < image.nodes.size(); ++n) {
+    write_node_records(body, n, image.nodes[n]);
+  }
+  write_delays_record(body, image.recent_delays);
+  const std::uint64_t sum = seal_body(body);
+  text = std::move(body.str());
+  return sum;
+}
+
+/// The whole delta file as text; returns the body checksum.
+std::uint64_t encode_delta(const StateDelta& delta, std::string& text) {
+  std::size_t bytes = reserve_bytes(delta.config, delta.recent_delays);
+  for (const auto& entry : delta.nodes) bytes += reserve_bytes(entry.second);
+  TextOut body(bytes);
+  body << kDeltaMagic << '\n';
+  body << "parent " << delta.parent_checksum << '\n';
+  write_config_record(body, delta.config);
+  body << "seed " << delta.seed << '\n';
+  body << "state " << delta.version << ' ' << delta.seq << ' ' << delta.clock
+       << '\n';
+  write_counters_record(body, delta.counters);
+  write_faults_record(body, delta.faults);
+  body << "nodes " << delta.nodes.size() << '\n';
+  for (const auto& [id, ni] : delta.nodes) {
+    write_node_records(body, id, ni);
+  }
+  write_delays_record(body, delta.recent_delays);
+  const std::uint64_t sum = seal_body(body);
+  text = std::move(body.str());
   return sum;
 }
 
@@ -833,20 +886,10 @@ std::size_t read_nodes_count(LineReader& lines, const StoreConfig& config,
 }  // namespace
 
 std::uint64_t write_image(std::ostream& out, const StateImage& image) {
-  std::ostringstream body;
-  body << kMagic << '\n';
-  write_config_record(body, image.config);
-  body << "seed " << image.seed << '\n';
-  body << "state " << image.version << ' ' << image.seq << ' ' << image.clock
-       << '\n';
-  write_counters_record(body, image.counters);
-  write_faults_record(body, image.faults);
-  body << "nodes " << image.nodes.size() << '\n';
-  for (std::size_t n = 0; n < image.nodes.size(); ++n) {
-    write_node_records(body, n, image.nodes[n]);
-  }
-  write_delays_record(body, image.recent_delays);
-  return seal_body(out, body.str());
+  std::string text;
+  const std::uint64_t checksum = encode_image(image, text);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  return checksum;
 }
 
 StateImage read_image(std::istream& in, std::uint64_t* checksum) {
@@ -882,10 +925,9 @@ StateImage read_image(std::istream& in, std::uint64_t* checksum) {
 }
 
 std::uint64_t save_image(const std::string& path, const StateImage& image) {
-  std::uint64_t checksum = 0;
-  engine::atomic_write_file(path, [&](std::ostream& out) {
-    checksum = write_image(out, image);
-  });
+  std::string text;
+  const std::uint64_t checksum = encode_image(image, text);
+  detail::write_text_file(path, text);
   return checksum;
 }
 
@@ -898,21 +940,10 @@ StateImage load_image(const std::string& path, std::uint64_t* checksum) {
 }
 
 std::uint64_t write_delta(std::ostream& out, const StateDelta& delta) {
-  std::ostringstream body;
-  body << kDeltaMagic << '\n';
-  body << "parent " << delta.parent_checksum << '\n';
-  write_config_record(body, delta.config);
-  body << "seed " << delta.seed << '\n';
-  body << "state " << delta.version << ' ' << delta.seq << ' ' << delta.clock
-       << '\n';
-  write_counters_record(body, delta.counters);
-  write_faults_record(body, delta.faults);
-  body << "nodes " << delta.nodes.size() << '\n';
-  for (const auto& [id, ni] : delta.nodes) {
-    write_node_records(body, id, ni);
-  }
-  write_delays_record(body, delta.recent_delays);
-  return seal_body(out, body.str());
+  std::string text;
+  const std::uint64_t checksum = encode_delta(delta, text);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  return checksum;
 }
 
 StateDelta read_delta(std::istream& in, std::uint64_t* checksum) {
@@ -960,10 +991,9 @@ StateDelta read_delta(std::istream& in, std::uint64_t* checksum) {
 }
 
 std::uint64_t save_delta(const std::string& path, const StateDelta& delta) {
-  std::uint64_t checksum = 0;
-  engine::atomic_write_file(path, [&](std::ostream& out) {
-    checksum = write_delta(out, delta);
-  });
+  std::string text;
+  const std::uint64_t checksum = encode_delta(delta, text);
+  detail::write_text_file(path, text);
   return checksum;
 }
 

@@ -9,14 +9,17 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "impatience/service/http.hpp"
 #include "impatience/service/protocol.hpp"
+#include "impatience/service/snapshot_chain.hpp"
 #include "impatience/util/errors.hpp"
 
 namespace impatience::service {
@@ -461,6 +464,280 @@ TEST(Replicationd, HttpSnapshotEndpointTriggersPersistence) {
   EXPECT_GE(daemon.metrics().snapshots_total(), 1u);
   const StateImage image = load_image(snap.path());
   EXPECT_GT(image.seq, 0u);
+  daemon.stop();
+  runner.join();
+}
+
+// --- Asynchronous snapshot persistence -----------------------------------
+
+/// Countable lines of a stream: the seq it ends at.
+std::uint64_t countable_lines(const std::string& text) {
+  std::istringstream in(text);
+  std::string line;
+  std::uint64_t count = 0;
+  while (std::getline(in, line)) {
+    const LineClass cls = classify_line(line);
+    if (cls == LineClass::event || cls == LineClass::malformed) ++count;
+  }
+  return count;
+}
+
+struct ManifestEntry {
+  std::string kind;
+  std::string file;
+  std::uint64_t seq = 0;
+};
+
+std::vector<ManifestEntry> read_manifest(const std::string& path) {
+  std::ifstream in(path + ".manifest");
+  std::vector<ManifestEntry> entries;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    ManifestEntry e;
+    std::uint64_t checksum = 0;
+    if (fields >> e.kind >> e.file >> checksum >> e.seq) {
+      entries.push_back(e);
+    }
+  }
+  return entries;
+}
+
+std::string dir_of(const std::string& path) {
+  return path.substr(0, path.find_last_of('/') + 1);
+}
+
+std::string serialized(const StateImage& image) {
+  std::ostringstream out;
+  write_image(out, image);
+  return out.str();
+}
+
+// stop() must wake the interval writer however it interleaves with the
+// writer's wait: a lost wake-up would leave the destructor's join
+// blocked for a full --snapshot-interval (an hour here).
+TEST(Replicationd, StopWakesTheIntervalWriterPromptly) {
+  TempPath input("repl_stopwake_input");
+  { std::ofstream out(input.path()); }
+  TempPath snap("repl_stopwake_snap");
+  DaemonConfig config;
+  config.store = small_config();
+  config.input_path = input.path();
+  config.http_port = -1;
+  config.snapshot_path = snap.path();
+  config.snapshot_interval_s = 3600.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    ReplicationDaemon daemon(config);
+    daemon.stop();
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_LT(seconds, 5.0);
+}
+
+// Chain mode with --snapshot-every N: every boundary is persisted, in
+// order, and each delta links to its parent.
+TEST(Replicationd, ChainCheckpointsCommitInSeqOrder) {
+  TempPath socket("repl_chainorder");
+  TempPath snap("repl_chainorder_snap");
+  const std::string text = stream_text(1500, 41, /*quit=*/false);
+  const std::uint64_t total = countable_lines(text);
+  constexpr std::uint64_t kEvery = 50;
+  DaemonConfig config;
+  config.store = small_config();
+  config.store.num_nodes = 3000;  // a base worth persisting off-thread
+  config.seed = 41;
+  config.socket_path = socket.path();
+  config.http_port = -1;
+  config.snapshot_path = snap.path();
+  config.snapshot_every = kEvery;
+  config.snapshot_deltas = true;
+  config.snapshot_delta_limit = 1000;  // keep every element in the chain
+
+  std::vector<std::string> files;
+  const auto check_manifest = [&](std::uint64_t* last_seq) {
+    const std::vector<ManifestEntry> entries = read_manifest(snap.path());
+    std::uint64_t prev = 0;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      const ManifestEntry& e = entries[i];
+      EXPECT_EQ(e.kind, i == 0 ? "base" : "delta");
+      EXPECT_EQ(e.seq, (i + 1) * kEvery) << "element " << i;
+      EXPECT_GT(e.seq, prev);
+      prev = e.seq;
+      files.push_back(dir_of(snap.path()) + e.file);
+    }
+    *last_seq = prev;
+  };
+
+  ReplicationDaemon daemon(config);
+  std::thread runner([&] { daemon.run(nullptr); });
+  std::thread feeder([&] { feed_socket(socket.path(), text); });
+  const std::uint64_t last_boundary = total / kEvery * kEvery;
+  std::uint64_t last_seq = 0;
+  for (int i = 0; i < 5000 && last_seq < last_boundary; ++i) {
+    check_manifest(&last_seq);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  feeder.join();
+  ASSERT_EQ(last_seq, last_boundary);
+  wait_for_seq(daemon, total);
+
+  // Parent links and element checksums verify; replaying the chain gives
+  // the store exactly as it stood at the last boundary.
+  const StateImage restored = SnapshotChain::restore_image(snap.path());
+  EXPECT_EQ(restored.seq, last_boundary);
+  daemon.stop();
+  runner.join();
+  if (total == last_boundary) {
+    EXPECT_EQ(serialized(restored), serialized(daemon.store().image()));
+  }
+  for (const ManifestEntry& e : read_manifest(snap.path())) {
+    files.push_back(dir_of(snap.path()) + e.file);
+  }
+  for (const std::string& file : files) std::remove(file.c_str());
+  std::remove((snap.path() + ".manifest").c_str());
+}
+
+// GET /snapshot answers only once the file carrying the version it
+// reports is on disk, while ingest keeps moving the store.
+TEST(Replicationd, HttpSnapshotReplyFollowsThePersist) {
+  TempPath socket("repl_httpsync");
+  TempPath snap("repl_httpsync_snap");
+  DaemonConfig config;
+  config.store = small_config();
+  config.store.num_nodes = 3000;
+  config.seed = 42;
+  config.socket_path = socket.path();
+  config.http_port = 0;
+  config.snapshot_path = snap.path();
+
+  ReplicationDaemon daemon(config);
+  std::thread runner([&] { daemon.run(nullptr); });
+  std::thread feeder(
+      [&] { feed_socket(socket.path(), stream_text(20000, 42, false)); });
+  for (int i = 0; i < 10; ++i) {
+    const std::string body = http_get(daemon.http_port(), "/snapshot");
+    ASSERT_EQ(body.rfind("ok version ", 0), 0u) << body;
+    const std::uint64_t version = std::stoull(body.substr(11));
+    EXPECT_EQ(load_image(snap.path()).version, version);
+  }
+  feeder.join();
+  daemon.stop();
+  runner.join();
+}
+
+// The final snapshot after Q waits for the by-sequence one still in
+// flight, so it is the last file written, at the full seq — in both
+// snapshot modes.
+TEST(Replicationd, FinalSnapshotLandsLastAtTheFullSeq) {
+  const std::string text = stream_text(1201, 43, /*quit=*/true);
+  TempPath input("repl_final_input");
+  {
+    std::ofstream out(input.path());
+    out << text;
+  }
+  const std::uint64_t total = countable_lines(text);
+  constexpr std::uint64_t kEvery = 200;
+  ASSERT_NE(total % kEvery, 0u);
+  for (const bool deltas : {false, true}) {
+    TempPath snap(deltas ? "repl_final_chain" : "repl_final_plain");
+    DaemonConfig config;
+    config.store = small_config();
+    config.store.num_nodes = 5000;
+    config.seed = 43;
+    config.input_path = input.path();
+    config.http_port = -1;
+    config.snapshot_path = snap.path();
+    config.snapshot_every = kEvery;
+    config.snapshot_deltas = deltas;
+    ReplicationDaemon daemon(config);
+    daemon.run(nullptr);
+    ASSERT_EQ(daemon.store().seq(), total);
+
+    const StateImage on_disk = SnapshotChain::restore_image(snap.path());
+    EXPECT_EQ(on_disk.seq, total) << "deltas " << deltas;
+    EXPECT_EQ(serialized(on_disk), serialized(daemon.store().image()));
+    EXPECT_EQ(daemon.metrics().snapshots_total(), total / kEvery + 1);
+    EXPECT_EQ(daemon.metrics().snapshot_last_version(),
+              daemon.store().version());
+    if (deltas) {
+      // The collapse left exactly one base, and removed the chain files
+      // the by-sequence checkpoints wrote.
+      const std::vector<ManifestEntry> entries = read_manifest(snap.path());
+      ASSERT_EQ(entries.size(), 1u);
+      EXPECT_EQ(entries[0].kind, "base");
+      EXPECT_EQ(entries[0].seq, total);
+      for (std::uint64_t seq = kEvery; seq < total; seq += kEvery) {
+        for (const char* kind : {".base.", ".delta."}) {
+          std::ifstream stale(snap.path() + kind + std::to_string(seq));
+          EXPECT_FALSE(stale.good()) << kind << seq;
+        }
+      }
+      std::remove((dir_of(snap.path()) + entries[0].file).c_str());
+      std::remove((snap.path() + ".manifest").c_str());
+    }
+  }
+}
+
+// A by-sequence persist that fails on the writer thread reaches run()'s
+// caller as the IoError it is, through the next capture, instead of
+// ending the process.
+TEST(Replicationd, FailedSnapshotWriteSurfacesFromRun) {
+  TempPath input("repl_badsnap_input");
+  {
+    std::ofstream out(input.path());
+    out << stream_text(300, 45, /*quit=*/true);
+  }
+  DaemonConfig config;
+  config.store = small_config();
+  config.seed = 45;
+  config.input_path = input.path();
+  config.http_port = -1;
+  config.snapshot_path = ::testing::TempDir() + "no_such_dir_" +
+                         std::to_string(::getpid()) + "/snap";
+  config.snapshot_every = 50;
+  ReplicationDaemon daemon(config);
+  util::CancellationToken token;  // runs the token watcher too
+  EXPECT_THROW(daemon.run(&token), util::IoError);
+  EXPECT_EQ(daemon.metrics().snapshots_total(), 0u);
+}
+
+// The writer's backpressure metrics are exported, and count at persist.
+TEST(Replicationd, SnapshotWriterMetricsAreExported) {
+  TempPath socket("repl_snapmetrics");
+  TempPath snap("repl_snapmetrics_snap");
+  DaemonConfig config;
+  config.store = small_config();
+  config.seed = 44;
+  config.socket_path = socket.path();
+  config.http_port = 0;
+  config.snapshot_path = snap.path();
+  config.snapshot_every = 100;
+  ReplicationDaemon daemon(config);
+  std::thread runner([&] { daemon.run(nullptr); });
+  const std::string text = stream_text(1000, 44, /*quit=*/false);
+  feed_socket(socket.path(), text);
+  const std::uint64_t total = countable_lines(text);
+  wait_for_seq(daemon, total);
+  // Every boundary reaches the metrics once its persist returns.
+  for (int i = 0; i < 1000 && daemon.metrics().snapshots_total() <
+                                  total / config.snapshot_every;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(daemon.metrics().snapshots_total(), total / config.snapshot_every);
+  EXPECT_EQ(load_image(snap.path()).version,
+            daemon.metrics().snapshot_last_version());
+  EXPECT_GT(daemon.metrics().snapshot_write_seconds_last(), 0.0);
+  EXPECT_LE(daemon.metrics().snapshot_waits_total(),
+            daemon.metrics().snapshots_total());
+  const std::string metrics = http_get(daemon.http_port(), "/metrics");
+  EXPECT_NE(metrics.find("replicationd_snapshot_waits_total "),
+            std::string::npos);
+  EXPECT_NE(metrics.find("replicationd_snapshot_write_seconds_last "),
+            std::string::npos);
   daemon.stop();
   runner.join();
 }
