@@ -2,12 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
 #include "impatience/util/errors.hpp"
+#include "text_in.hpp"
 #include "text_out.hpp"
 
 namespace impatience::service {
@@ -25,6 +25,46 @@ std::string chain_dir(const std::string& path) {
 std::string chain_basename(const std::string& path) {
   const auto slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+struct ManifestEntry {
+  bool is_base;
+  std::string file;
+  std::uint64_t checksum;
+  std::uint64_t seq;
+};
+
+/// Parses a manifest: the magic line, one "base|delta <file> <checksum>
+/// <seq>" line per element, and an `end` line that ends the file. The
+/// manifest has no checksum of its own; restore_image checks each entry
+/// against the file it names.
+std::vector<ManifestEntry> read_manifest(const std::string& manifest_path) {
+  const std::string text = detail::read_text_file(manifest_path);
+  detail::LineCursor lines(text);
+  if (lines.done() || lines.next_line() != kManifestMagic) {
+    throw util::IoError("snapshot chain: bad manifest magic: " +
+                        manifest_path);
+  }
+  std::vector<ManifestEntry> entries;
+  for (;;) {
+    if (lines.done()) {
+      throw util::IoError(
+          "snapshot chain: manifest missing end trailer (torn?)");
+    }
+    const std::string_view line = lines.next_line();
+    if (line == "end") break;
+    ManifestEntry& entry = entries.emplace_back();
+    entry.is_base = line.substr(0, 5) == "base ";
+    detail::Fields fields(line, entry.is_base ? "base" : "delta");
+    entry.file = fields.word("manifest file");
+    entry.checksum = fields.get<std::uint64_t>("manifest checksum");
+    entry.seq = fields.get<std::uint64_t>("manifest seq");
+    fields.finish();
+  }
+  if (!lines.done()) {
+    throw util::IoError("snapshot chain: bytes after the manifest trailer");
+  }
+  return entries;
 }
 
 }  // namespace
@@ -136,64 +176,34 @@ bool SnapshotChain::chain_available(const std::string& path) {
 }
 
 StateImage SnapshotChain::restore_image(const std::string& path) {
-  std::ifstream manifest(path + ".manifest");
-  if (!manifest) {
+  if (!chain_available(path)) {
     // Pre-chain snapshot layout: one full image at the plain path.
     return load_image(path);
   }
   const std::string dir = chain_dir(path);
-
-  std::string line;
-  if (!std::getline(manifest, line) || line != kManifestMagic) {
-    throw util::IoError("snapshot chain: bad manifest magic: " + path +
-                        ".manifest");
-  }
-  struct Entry {
-    bool is_base;
-    std::string file;
-    std::uint64_t checksum;
-    std::uint64_t seq;
-  };
-  std::vector<Entry> entries;
-  bool sealed = false;
-  while (std::getline(manifest, line)) {
-    if (line == "end") {
-      sealed = true;
-      break;
-    }
-    std::istringstream fields(line);
-    std::string kind;
-    Entry entry;
-    if (!(fields >> kind >> entry.file >> entry.checksum >> entry.seq) ||
-        (kind != "base" && kind != "delta")) {
-      throw util::IoError("snapshot chain: malformed manifest line: " + line);
-    }
-    entry.is_base = kind == "base";
-    entries.push_back(std::move(entry));
-  }
-  if (!sealed) {
-    throw util::IoError("snapshot chain: manifest missing end trailer (torn?)");
-  }
+  const std::vector<ManifestEntry> entries = read_manifest(path + ".manifest");
   if (entries.empty() || !entries.front().is_base) {
     throw util::IoError("snapshot chain: manifest must start with a base");
   }
 
   std::uint64_t checksum = 0;
   StateImage image = load_image(dir + entries.front().file, &checksum);
-  if (checksum != entries.front().checksum) {
-    throw util::IoError("snapshot chain: base checksum does not match " +
-                        std::string("manifest: ") + entries.front().file);
+  if (checksum != entries.front().checksum ||
+      image.seq != entries.front().seq) {
+    throw util::IoError("snapshot chain: base checksum or seq does not " +
+                        std::string("match manifest: ") +
+                        entries.front().file);
   }
   std::uint64_t parent = checksum;
   for (std::size_t i = 1; i < entries.size(); ++i) {
-    const Entry& entry = entries[i];
+    const ManifestEntry& entry = entries[i];
     if (entry.is_base) {
       throw util::IoError("snapshot chain: manifest has a second base");
     }
     const StateDelta delta = load_delta(dir + entry.file, &checksum);
-    if (checksum != entry.checksum) {
-      throw util::IoError("snapshot chain: delta checksum does not match " +
-                          std::string("manifest: ") + entry.file);
+    if (checksum != entry.checksum || delta.seq != entry.seq) {
+      throw util::IoError("snapshot chain: delta checksum or seq does not " +
+                          std::string("match manifest: ") + entry.file);
     }
     if (delta.parent_checksum != parent) {
       throw util::IoError("snapshot chain: broken parent link at " +

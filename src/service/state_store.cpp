@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -13,6 +12,7 @@
 #include "impatience/stats/percentile.hpp"
 #include "impatience/util/errors.hpp"
 #include "impatience/utility/factory.hpp"
+#include "text_in.hpp"
 #include "text_out.hpp"
 
 namespace impatience::service {
@@ -170,6 +170,8 @@ void StateStore::init_from_image(const StateImage& image) {
   nodes_.clear();
   nodes_.reserve(config_.num_nodes);
   util::Rng dummy(0);  // never consumed: inserts below never evict
+  // refresh_outstanding_locked sums every mandate count into one long.
+  long outstanding = 0;
   for (NodeId n = 0; n < config_.num_nodes; ++n) {
     const StateImage::NodeImage& ni = image.nodes[n];
     core::Node& node = nodes_.emplace_back(
@@ -199,6 +201,10 @@ void StateStore::init_from_image(const StateImage& image) {
       if (node.mandates().count(item) != 0) {
         throw util::IoError("StateStore: snapshot mandates repeat an item");
       }
+      if (count > std::numeric_limits<long>::max() - outstanding) {
+        throw util::IoError("StateStore: snapshot mandate counts overflow");
+      }
+      outstanding += count;
       node.mandates().add(item, count);
     }
     for (const core::PendingRequest& req : ni.pending) {
@@ -560,72 +566,10 @@ std::unique_ptr<StateStore> StateStore::restore(const StoreConfig& config,
 namespace {
 
 constexpr std::string_view kMagic = "impatience.replicationd_snapshot/1";
-
-class LineReader {
- public:
-  explicit LineReader(std::istream& in) : in_(in) {}
-
-  /// Next line; throws on EOF (snapshots end with an explicit trailer).
-  std::string next() {
-    std::string line;
-    if (!std::getline(in_, line)) {
-      throw util::IoError("snapshot: truncated (unexpected end of file)");
-    }
-    return line;
-  }
-
- private:
-  std::istream& in_;
-};
-
-/// Tokenizing reader for one expected record line: "key v1 v2 ...".
-class Record {
- public:
-  Record(std::string line, std::string_view key)
-      : line_size_(line.size()), stream_(std::move(line)) {
-    std::string got;
-    if (!(stream_ >> got) || got != key) {
-      throw util::IoError("snapshot: expected '" + std::string(key) +
-                          "' record, got '" + got + "'");
-    }
-  }
-
-  template <typename T>
-  T get(const char* what) {
-    T value{};
-    if (!(stream_ >> value)) {
-      throw util::IoError(std::string("snapshot: bad or missing field: ") +
-                          what);
-    }
-    return value;
-  }
-
-  /// Capacity safe to reserve for a declared, untrusted `count` of
-  /// entries of `tokens` tokens each: no more than the line can hold,
-  /// since every token takes at least a separator and one character.
-  std::size_t capacity_for(std::size_t count, std::size_t tokens) const {
-    return std::min(count, line_size_ / (2 * tokens));
-  }
-
-  /// Remainder of the line, stripped of one leading space.
-  std::string rest() {
-    std::string tail;
-    std::getline(stream_, tail);
-    if (!tail.empty() && tail.front() == ' ') tail.erase(0, 1);
-    return tail;
-  }
-
- private:
-  std::size_t line_size_;
-  std::istringstream stream_;
-};
-
-}  // namespace
-
-namespace {
-
 constexpr std::string_view kDeltaMagic = "impatience.replicationd_delta/1";
 
+using detail::Fields;
+using detail::LineCursor;
 using detail::TextOut;
 
 void write_config_record(TextOut& body, const StoreConfig& c) {
@@ -743,55 +687,81 @@ std::uint64_t encode_delta(const StateDelta& delta, std::string& text) {
   return sum;
 }
 
-/// Pass 1 of every reader: collect the body, verify checksum + trailer.
-/// Any torn or bit-flipped file is rejected before a field is parsed.
-std::string read_checked_body(std::istream& in, std::uint64_t* checksum) {
-  std::string body;
-  std::string line;
-  bool have_checksum = false;
-  std::uint64_t stored_checksum = 0;
-  while (std::getline(in, line)) {
-    if (line.rfind("checksum ", 0) == 0) {
-      const char* first = line.data() + 9;
-      const char* last = line.data() + line.size();
-      const auto [end, ec] = std::from_chars(first, last, stored_checksum, 16);
-      if (ec != std::errc() || end != last) {
-        throw util::IoError("snapshot: malformed checksum line");
-      }
-      have_checksum = true;
-      break;
-    }
-    body += line;
-    body += '\n';
-  }
-  if (!have_checksum) {
+/// Pass 1 of every reader: verify the checksum and trailer of the whole
+/// file and return a view of the body they seal, so a torn or bit-flipped
+/// file is rejected before a field is parsed. The file must end in
+/// exactly "checksum <16 lowercase hex digits>\nend\n".
+std::string_view checked_body(std::string_view text, std::uint64_t* checksum) {
+  constexpr std::string_view kChecksum = "checksum ";
+  constexpr std::string_view kEnd = "\nend\n";
+  constexpr std::size_t kDigits = 16;
+  const std::size_t at = text.rfind("\nchecksum ");
+  if (at == std::string_view::npos) {
     throw util::IoError("snapshot: missing checksum line (torn file?)");
   }
-  if (engine::fnv1a64(body) != stored_checksum) {
+  const std::string_view body = text.substr(0, at + 1);
+  const std::string_view digits = text.substr(body.size() + kChecksum.size());
+  std::uint64_t stored = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), stored, 16);
+  if (ec != std::errc() || end != digits.data() + kDigits ||
+      digits.substr(0, kDigits).find_first_not_of("0123456789abcdef") !=
+          std::string_view::npos) {
+    throw util::IoError("snapshot: malformed checksum line");
+  }
+  if (engine::fnv1a64(body) != stored) {
     throw util::IoError("snapshot: checksum mismatch (corrupt file)");
   }
-  if (!std::getline(in, line) || line != "end") {
-    throw util::IoError("snapshot: missing end trailer");
+  if (digits.substr(kDigits) != kEnd) {
+    throw util::IoError("snapshot: missing end trailer, or bytes after it");
   }
-  if (checksum) *checksum = stored_checksum;
+  if (checksum) *checksum = stored;
   return body;
 }
 
-void read_config_record(LineReader& lines, StoreConfig& config) {
-  Record r(lines.next(), "config");
+void expect_magic(LineCursor& lines, std::string_view magic,
+                  const char* what) {
+  if (lines.next_line() != magic) {
+    throw util::IoError(std::string("snapshot: bad magic (not a ") + what +
+                        ")");
+  }
+}
+
+void read_config_record(LineCursor& lines, StoreConfig& config) {
+  Fields r(lines.next_line(), "config");
   config.num_nodes = r.get<NodeId>("num_nodes");
   config.num_items = r.get<ItemId>("num_items");
   config.cache_capacity = r.get<int>("cache_capacity");
-  config.sticky_replicas = r.get<int>("sticky_replicas") != 0;
+  config.sticky_replicas = r.flag("sticky_replicas");
   config.mu = r.get<double>("mu");
   config.reaction_scale = r.get<double>("reaction_scale");
-  config.mandate_routing = r.get<int>("mandate_routing") != 0;
-  config.utility_spec = r.rest();
-  config.validate();
+  config.mandate_routing = r.flag("mandate_routing");
+  config.utility_spec = r.rest("utility_spec");
+  try {
+    config.validate();
+  } catch (const std::invalid_argument& e) {
+    throw util::IoError(std::string("snapshot: ") + e.what());
+  }
 }
 
-void read_counters_record(LineReader& lines, StoreCounters& k) {
-  Record r(lines.next(), "counters");
+/// The "seed" and "state" records, which images and deltas share.
+void read_seed_and_state(LineCursor& lines, std::uint64_t& seed,
+                         std::uint64_t& version, std::uint64_t& seq,
+                         Slot& clock) {
+  {
+    Fields r(lines.next_line(), "seed");
+    seed = r.get<std::uint64_t>("seed");
+    r.finish();
+  }
+  Fields r(lines.next_line(), "state");
+  version = r.get<std::uint64_t>("version");
+  seq = r.get<std::uint64_t>("seq");
+  clock = r.get<Slot>("clock");
+  r.finish();
+}
+
+void read_counters_record(LineCursor& lines, StoreCounters& k) {
+  Fields r(lines.next_line(), "counters");
   k.events_applied = r.get<std::uint64_t>("events_applied");
   k.events_malformed = r.get<std::uint64_t>("events_malformed");
   k.contacts = r.get<std::uint64_t>("contacts");
@@ -804,48 +774,53 @@ void read_counters_record(LineReader& lines, StoreCounters& k) {
   k.mandates_outstanding = r.get<long>("mandates_outstanding");
   k.total_gain = r.get<double>("total_gain");
   k.delay_sum = r.get<double>("delay_sum");
+  r.finish();
 }
 
-void read_faults_record(LineReader& lines, fault::FaultCounters& f) {
-  Record r(lines.next(), "faults");
+void read_faults_record(LineCursor& lines, fault::FaultCounters& f) {
+  Fields r(lines.next_line(), "faults");
   f.crashes = r.get<std::uint64_t>("crashes");
   f.replicas_lost = r.get<std::uint64_t>("replicas_lost");
   f.mandates_lost = r.get<long>("mandates_lost");
   f.requests_lost = r.get<std::uint64_t>("requests_lost");
+  r.finish();
 }
 
 /// Reads one node/cache/mandates/pending block; returns the node id.
-std::uint64_t read_node_records(LineReader& lines,
+std::uint64_t read_node_records(LineCursor& lines,
                                 StateImage::NodeImage& ni) {
   std::uint64_t id = 0;
   {
-    Record r(lines.next(), "node");
+    Fields r(lines.next_line(), "node");
     id = r.get<std::uint64_t>("node id");
     ni.server_meetings = r.get<long>("server_meetings");
     ni.sticky = r.get<std::int64_t>("sticky");
+    r.finish();
   }
   // Declared counts are untrusted: each vector reserves at most what
   // its line can hold and grows as its entries parse, so a hostile count
-  // fails at the first missing token instead of allocating up front.
+  // fails at the first missing field instead of allocating up front.
   {
-    Record r(lines.next(), "cache");
+    Fields r(lines.next_line(), "cache");
     const auto count = r.get<std::size_t>("cache size");
     ni.cache.reserve(r.capacity_for(count, 1));
     for (std::size_t k = 0; k < count; ++k) {
       ni.cache.push_back(r.get<ItemId>("cache item"));
     }
+    r.finish();
   }
   {
-    Record r(lines.next(), "mandates");
+    Fields r(lines.next_line(), "mandates");
     const auto count = r.get<std::size_t>("mandate entries");
     ni.mandates.reserve(r.capacity_for(count, 2));
     for (std::size_t k = 0; k < count; ++k) {
       const auto item = r.get<ItemId>("mandate item");
       ni.mandates.emplace_back(item, r.get<long>("mandate count"));
     }
+    r.finish();
   }
   {
-    Record r(lines.next(), "pending");
+    Fields r(lines.next_line(), "pending");
     const auto count = r.get<std::size_t>("pending entries");
     ni.pending.reserve(r.capacity_for(count, 3));
     for (std::size_t k = 0; k < count; ++k) {
@@ -855,26 +830,32 @@ std::uint64_t read_node_records(LineReader& lines,
       req.queries_at_creation = r.get<long>("pending queries");
       ni.pending.push_back(req);
     }
+    r.finish();
   }
   return id;
 }
 
-void read_delays_record(LineReader& lines, std::vector<double>& delays) {
-  Record r(lines.next(), "delays");
+/// The "delays" record, which closes the body: nothing may follow it.
+void read_delays_record(LineCursor& lines, std::vector<double>& delays) {
+  Fields r(lines.next_line(), "delays");
   const auto count = r.get<std::size_t>("delay count");
   delays.reserve(r.capacity_for(count, 1));
   for (std::size_t k = 0; k < count; ++k) {
     delays.push_back(r.get<double>("delay"));
   }
+  r.finish();
+  if (!lines.done()) {
+    throw util::IoError("snapshot: unexpected record after 'delays'");
+  }
 }
 
 /// The "nodes" record's count, which the config record bounds: an image
-/// holds exactly config.num_nodes nodes, a delta at most that many. The
-/// node vectors still grow one parsed block at a time.
-std::size_t read_nodes_count(LineReader& lines, const StoreConfig& config,
+/// holds exactly config.num_nodes nodes, a delta at most that many.
+std::size_t read_nodes_count(LineCursor& lines, const StoreConfig& config,
                              bool exact) {
-  Record r(lines.next(), "nodes");
+  Fields r(lines.next_line(), "nodes");
   const auto count = r.get<std::size_t>("nodes");
+  r.finish();
   if (exact ? count != config.num_nodes : count > config.num_nodes) {
     throw util::IoError("snapshot: node count " + std::to_string(count) +
                         (exact ? " != " : " > ") + "config num_nodes " +
@@ -883,38 +864,26 @@ std::size_t read_nodes_count(LineReader& lines, const StoreConfig& config,
   return count;
 }
 
-}  // namespace
-
-std::uint64_t write_image(std::ostream& out, const StateImage& image) {
-  std::string text;
-  const std::uint64_t checksum = encode_image(image, text);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  return checksum;
+/// Node blocks the rest of the body can hold, at least
+/// "node 0 0 -1\ncache 0\nmandates 0\npending 0\n" each: a bound for
+/// reserving the node vector without trusting the declared count.
+std::size_t node_capacity(std::size_t count, const LineCursor& lines) {
+  constexpr std::size_t kMinNodeBlock = 41;
+  return std::min(count, lines.bytes_left() / kMinNodeBlock);
 }
 
-StateImage read_image(std::istream& in, std::uint64_t* checksum) {
-  std::istringstream text(read_checked_body(in, checksum));
-  LineReader lines(text);
-  if (lines.next() != kMagic) {
-    throw util::IoError("snapshot: bad magic (not a replicationd snapshot)");
-  }
-
+StateImage parse_image(std::string_view text, std::uint64_t* checksum) {
+  LineCursor lines(checked_body(text, checksum));
+  expect_magic(lines, kMagic, "replicationd snapshot");
   StateImage image;
   read_config_record(lines, image.config);
-  {
-    Record r(lines.next(), "seed");
-    image.seed = r.get<std::uint64_t>("seed");
-  }
-  {
-    Record r(lines.next(), "state");
-    image.version = r.get<std::uint64_t>("version");
-    image.seq = r.get<std::uint64_t>("seq");
-    image.clock = r.get<Slot>("clock");
-  }
+  read_seed_and_state(lines, image.seed, image.version, image.seq,
+                      image.clock);
   read_counters_record(lines, image.counters);
   read_faults_record(lines, image.faults);
   const std::size_t num_nodes =
       read_nodes_count(lines, image.config, /*exact=*/true);
+  image.nodes.reserve(node_capacity(num_nodes, lines));
   for (std::size_t n = 0; n < num_nodes; ++n) {
     if (read_node_records(lines, image.nodes.emplace_back()) != n) {
       throw util::IoError("snapshot: node records out of order");
@@ -924,55 +893,23 @@ StateImage read_image(std::istream& in, std::uint64_t* checksum) {
   return image;
 }
 
-std::uint64_t save_image(const std::string& path, const StateImage& image) {
-  std::string text;
-  const std::uint64_t checksum = encode_image(image, text);
-  detail::write_text_file(path, text);
-  return checksum;
-}
-
-StateImage load_image(const std::string& path, std::uint64_t* checksum) {
-  std::ifstream in(path);
-  if (!in) {
-    throw util::IoError("snapshot: cannot open " + path);
-  }
-  return read_image(in, checksum);
-}
-
-std::uint64_t write_delta(std::ostream& out, const StateDelta& delta) {
-  std::string text;
-  const std::uint64_t checksum = encode_delta(delta, text);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  return checksum;
-}
-
-StateDelta read_delta(std::istream& in, std::uint64_t* checksum) {
-  std::istringstream text(read_checked_body(in, checksum));
-  LineReader lines(text);
-  if (lines.next() != kDeltaMagic) {
-    throw util::IoError("snapshot: bad magic (not a replicationd delta)");
-  }
-
+StateDelta parse_delta(std::string_view text, std::uint64_t* checksum) {
+  LineCursor lines(checked_body(text, checksum));
+  expect_magic(lines, kDeltaMagic, "replicationd delta");
   StateDelta delta;
   {
-    Record r(lines.next(), "parent");
+    Fields r(lines.next_line(), "parent");
     delta.parent_checksum = r.get<std::uint64_t>("parent checksum");
+    r.finish();
   }
   read_config_record(lines, delta.config);
-  {
-    Record r(lines.next(), "seed");
-    delta.seed = r.get<std::uint64_t>("seed");
-  }
-  {
-    Record r(lines.next(), "state");
-    delta.version = r.get<std::uint64_t>("version");
-    delta.seq = r.get<std::uint64_t>("seq");
-    delta.clock = r.get<Slot>("clock");
-  }
+  read_seed_and_state(lines, delta.seed, delta.version, delta.seq,
+                      delta.clock);
   read_counters_record(lines, delta.counters);
   read_faults_record(lines, delta.faults);
   const std::size_t num_nodes =
       read_nodes_count(lines, delta.config, /*exact=*/false);
+  delta.nodes.reserve(node_capacity(num_nodes, lines));
   std::uint64_t prev_id = 0;
   for (std::size_t n = 0; n < num_nodes; ++n) {
     auto& [id, ni] = delta.nodes.emplace_back();
@@ -990,6 +927,41 @@ StateDelta read_delta(std::istream& in, std::uint64_t* checksum) {
   return delta;
 }
 
+}  // namespace
+
+std::uint64_t write_image(std::ostream& out, const StateImage& image) {
+  std::string text;
+  const std::uint64_t checksum = encode_image(image, text);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  return checksum;
+}
+
+StateImage read_image(std::istream& in, std::uint64_t* checksum) {
+  return parse_image(detail::read_text_stream(in), checksum);
+}
+
+std::uint64_t save_image(const std::string& path, const StateImage& image) {
+  std::string text;
+  const std::uint64_t checksum = encode_image(image, text);
+  detail::write_text_file(path, text);
+  return checksum;
+}
+
+StateImage load_image(const std::string& path, std::uint64_t* checksum) {
+  return parse_image(detail::read_text_file(path), checksum);
+}
+
+std::uint64_t write_delta(std::ostream& out, const StateDelta& delta) {
+  std::string text;
+  const std::uint64_t checksum = encode_delta(delta, text);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  return checksum;
+}
+
+StateDelta read_delta(std::istream& in, std::uint64_t* checksum) {
+  return parse_delta(detail::read_text_stream(in), checksum);
+}
+
 std::uint64_t save_delta(const std::string& path, const StateDelta& delta) {
   std::string text;
   const std::uint64_t checksum = encode_delta(delta, text);
@@ -998,11 +970,7 @@ std::uint64_t save_delta(const std::string& path, const StateDelta& delta) {
 }
 
 StateDelta load_delta(const std::string& path, std::uint64_t* checksum) {
-  std::ifstream in(path);
-  if (!in) {
-    throw util::IoError("snapshot: cannot open " + path);
-  }
-  return read_delta(in, checksum);
+  return parse_delta(detail::read_text_file(path), checksum);
 }
 
 void apply_delta(StateImage& image, const StateDelta& delta) {

@@ -14,7 +14,10 @@
 // different scenario, exactly as for a mismatched --restore) or restores
 // completely. Nothing crashes, hangs or half-loads: a restored store
 // reproduces its own image when rebuilt from it, and a chain restores to
-// exactly one committed prefix of the chain that was written.
+// exactly one committed prefix of the chain that was written. Whatever
+// the reader accepts re-encodes to the same bytes, and the std::istream
+// oracle (snapshot_istream_oracle.hpp) accepts it too, with the same
+// image.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -22,6 +25,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -32,6 +36,7 @@
 #include "impatience/service/snapshot_chain.hpp"
 #include "impatience/service/state_store.hpp"
 #include "impatience/util/errors.hpp"
+#include "snapshot_istream_oracle.hpp"
 
 namespace impatience::service {
 namespace {
@@ -316,6 +321,16 @@ StateDelta read_delta_text(const std::string& text) {
   return read_delta(in);
 }
 
+StateImage oracle_read_image(const std::string& text) {
+  std::istringstream in(text);
+  return istream_oracle::read_image(in);
+}
+
+StateDelta oracle_read_delta(const std::string& text) {
+  std::istringstream in(text);
+  return istream_oracle::read_delta(in);
+}
+
 /// Builds a store for the small scenario from `image` and, unless the
 /// store refuses it, checks that it loaded whole.
 void restore_into_store(const StateImage& image, Tally& tally) {
@@ -339,19 +354,27 @@ void restore_into_store(const StateImage& image, Tally& tally) {
   EXPECT_EQ(encoded(again.image()), encoded(restored));
 }
 
-/// The reader's own verdict on `text`: rejected, or the parsed image.
-/// A config record that fails StoreConfig::validate is a rejection too.
-template <typename Parsed, typename Read>
-bool read_or_reject(const std::string& text, Read read, Parsed& parsed,
-                    Tally& tally) {
+/// The reader's verdict on `text`: a util::IoError, or the parsed image.
+/// What it accepts is the canonical text the writers emit, so it
+/// re-encodes to the same bytes, and the std::istream oracle reads it to
+/// the same image: the accepted set only shrinks.
+template <typename Parsed, typename Read, typename OracleRead>
+bool read_or_reject(const std::string& text, Read read,
+                    OracleRead oracle_read, Parsed& parsed, Tally& tally) {
   try {
     parsed = read(text);
-    return true;
   } catch (const util::IoError&) {
-  } catch (const std::invalid_argument&) {
+    ++tally.rejected_by_reader;
+    return false;
   }
-  ++tally.rejected_by_reader;
-  return false;
+  EXPECT_EQ(encoded(parsed), text);
+  try {
+    EXPECT_EQ(encoded(oracle_read(text)), text);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "the oracle refuses what the reader accepts: "
+                  << e.what();
+  }
+  return true;
 }
 
 /// Every case lands in exactly one outcome, and the mutations reach each
@@ -377,7 +400,8 @@ TEST(ServiceSnapshotFuzz, ImageReaderRejectsOrRestoresWhole) {
     const std::string text = mutator.mutate(files.image);
     SCOPED_TRACE("seed " + std::to_string(seed));
     StateImage image;
-    if (read_or_reject(text, read_image_text, image, tally)) {
+    if (read_or_reject(text, read_image_text, oracle_read_image, image,
+                       tally)) {
       restore_into_store(image, tally);
     }
   }
@@ -393,7 +417,10 @@ TEST(ServiceSnapshotFuzz, DeltaReaderRejectsOrRestoresWhole) {
     const std::string text = mutator.mutate(files.delta);
     SCOPED_TRACE("seed " + std::to_string(seed));
     StateDelta delta;
-    if (!read_or_reject(text, read_delta_text, delta, tally)) continue;
+    if (!read_or_reject(text, read_delta_text, oracle_read_delta, delta,
+                        tally)) {
+      continue;
+    }
     StateImage image = files.base;
     try {
       apply_delta(image, delta);
@@ -459,6 +486,19 @@ TEST(ServiceSnapshotFuzz, EarlierReaderFixesStayClosed) {
       read_image_text(with(image_body, "mandates ", "mandates 2 3 1 3 1"));
   EXPECT_THROW(StateStore(small_config(), kStoreSeed, repeated),
                util::IoError);
+}
+
+// Found by the suites: mandate counts that each parse, but whose sum
+// overflows the long the store totals them in.
+TEST(ServiceSnapshotFuzz, MandateCountsThatOverflowAreRefused) {
+  StateImage image = sealed_files().base;
+  image.nodes[0].mandates = {{3, std::numeric_limits<long>::max()}, {5, 1}};
+  EXPECT_THROW(StateStore(small_config(), kStoreSeed, image), util::IoError);
+  image.nodes[0].mandates = {{3, std::numeric_limits<long>::max()}};
+  image.nodes[1].mandates = {{5, 1}};
+  EXPECT_THROW(StateStore(small_config(), kStoreSeed, image), util::IoError);
+  image.nodes[1].mandates.clear();
+  EXPECT_NO_THROW(StateStore(small_config(), kStoreSeed, image));
 }
 
 /// Chain root inside the gtest temp dir; removes every file it names.
@@ -615,6 +655,12 @@ TEST(ServiceSnapshotFuzz, ManifestRestoresACommittedPrefixOrNothing) {
                         fixture.prefix_images.end(), image),
               fixture.prefix_images.end())
         << text;
+    try {
+      EXPECT_EQ(encoded(istream_oracle::restore_image(temp.path())), image);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "the oracle refuses what the reader accepts: "
+                    << e.what();
+    }
   }
   EXPECT_GT(rejected, 0);
   EXPECT_GT(restored, 0);
