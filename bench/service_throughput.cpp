@@ -1,12 +1,14 @@
 // replicationd service benchmarks: sustained event-apply throughput of
-// the versioned state store, snapshot serialization cost, and /metrics
-// scrape latency while a mutator thread is applying events (the daemon's
-// steady-state contention pattern). Compiled into micro_benchmarks so
-// scripts/bench_snapshot.sh snapshots the *_mean numbers per PR.
+// the versioned state store, snapshot serialization and parse cost, and
+// /metrics scrape latency while a mutator thread is applying events (the
+// daemon's steady-state contention pattern). Compiled into
+// micro_benchmarks so scripts/bench_snapshot.sh snapshots the *_mean
+// numbers per PR.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -74,6 +76,26 @@ void BM_ServiceSnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServiceSnapshot)->Arg(50)->Arg(200);
+
+// Snapshot parse: read_image of a 10^4-node image held in memory, the
+// load half of a warm restart (the store rebuild is not included).
+void BM_ServiceSnapshotLoad(benchmark::State& state) {
+  const std::uint32_t nodes = 10000;
+  service::StateStore store(bench_config(nodes), 15);
+  for (const service::Event& event : bench_stream(nodes, 40000, 22)) {
+    store.apply(event);
+  }
+  std::ostringstream out;
+  service::write_image(out, store.image());
+  const std::string text = out.str();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    benchmark::DoNotOptimize(service::read_image(in).nodes.size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ServiceSnapshotLoad)->Unit(benchmark::kMillisecond);
 
 // Incremental checkpoint cost: dirty-node delta extraction + delta
 // serialization after a burst of events — what the chain writer pays per

@@ -34,7 +34,8 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
   alloc_oracle_test utility_cached_transform_test core_simulator_test \
   service_protocol_test service_state_store_test service_daemon_test \
   service_feeder_test service_ingest_fuzz_test service_snapshot_delta_test \
-  service_snapshot_writer_test \
+  service_snapshot_writer_test service_snapshot_fuzz_test \
+  service_snapshot_reader_test \
   service_meeting_differential_test replicationd replfeed
 ctest --test-dir "$BUILD_DIR" -L "(engine|fault|sim|perf|service)" \
   --output-on-failure -j"$(nproc)"

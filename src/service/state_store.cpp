@@ -864,14 +864,6 @@ std::size_t read_nodes_count(LineCursor& lines, const StoreConfig& config,
   return count;
 }
 
-/// Node blocks the rest of the body can hold, at least
-/// "node 0 0 -1\ncache 0\nmandates 0\npending 0\n" each: a bound for
-/// reserving the node vector without trusting the declared count.
-std::size_t node_capacity(std::size_t count, const LineCursor& lines) {
-  constexpr std::size_t kMinNodeBlock = 41;
-  return std::min(count, lines.bytes_left() / kMinNodeBlock);
-}
-
 StateImage parse_image(std::string_view text, std::uint64_t* checksum) {
   LineCursor lines(checked_body(text, checksum));
   expect_magic(lines, kMagic, "replicationd snapshot");
@@ -883,7 +875,6 @@ StateImage parse_image(std::string_view text, std::uint64_t* checksum) {
   read_faults_record(lines, image.faults);
   const std::size_t num_nodes =
       read_nodes_count(lines, image.config, /*exact=*/true);
-  image.nodes.reserve(node_capacity(num_nodes, lines));
   for (std::size_t n = 0; n < num_nodes; ++n) {
     if (read_node_records(lines, image.nodes.emplace_back()) != n) {
       throw util::IoError("snapshot: node records out of order");
@@ -909,7 +900,6 @@ StateDelta parse_delta(std::string_view text, std::uint64_t* checksum) {
   read_faults_record(lines, delta.faults);
   const std::size_t num_nodes =
       read_nodes_count(lines, delta.config, /*exact=*/false);
-  delta.nodes.reserve(node_capacity(num_nodes, lines));
   std::uint64_t prev_id = 0;
   for (std::size_t n = 0; n < num_nodes; ++n) {
     auto& [id, ni] = delta.nodes.emplace_back();

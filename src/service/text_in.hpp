@@ -47,7 +47,6 @@ class LineCursor {
   explicit LineCursor(std::string_view text) : rest_(text) {}
 
   bool done() const noexcept { return rest_.empty(); }
-  std::size_t bytes_left() const noexcept { return rest_.size(); }
 
   /// The next line without its '\n'; throws when the text ends first
   /// (every line of the formats is terminated).
