@@ -7,7 +7,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <string>
