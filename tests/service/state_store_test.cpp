@@ -169,6 +169,67 @@ TEST(ServiceStateStore, WarmRestartIsStateIdentical) {
   EXPECT_TRUE(resumed.mandate_conservation_ok());
 }
 
+// Restore rebuilds live state the image does not carry: the pending-item
+// index, the replica counts and the dirty set. Every node of a restored
+// store must match the original, and both must produce the same delta
+// for the same tail.
+TEST(ServiceStateStore, RestoredLiveStateMatchesOriginal) {
+  const auto events = workload(3000, 14, 0.01);
+  const std::size_t cut = 1201;
+
+  StateStore original(small_config(), 13);
+  for (std::size_t i = 0; i < cut; ++i) original.apply(events[i]);
+  ASSERT_GT(original.faults().crashes, 0u);
+  std::ostringstream snap;
+  write_image(snap, original.checkpoint_image());
+  std::istringstream in(snap.str());
+  StateStore restored(small_config(), 13, read_image(in));
+
+  EXPECT_EQ(restored.version(), original.version());
+  EXPECT_EQ(restored.replica_counts(), original.replica_counts());
+  EXPECT_EQ(restored.dirty_node_count(), 0u);
+  EXPECT_EQ(original.dirty_node_count(), 0u);
+  std::size_t pending_seen = 0;
+  std::size_t mandates_seen = 0;
+  for (NodeId id = 0; id < small_config().num_nodes; ++id) {
+    const core::Node want = original.node(id);
+    const core::Node got = restored.node(id);
+    EXPECT_EQ(got.cache().items(), want.cache().items()) << "node " << id;
+    EXPECT_EQ(got.cache().sticky(), want.cache().sticky()) << "node " << id;
+    EXPECT_EQ(got.server_meetings(), want.server_meetings()) << "node " << id;
+    const auto items = want.mandates().active_items();
+    EXPECT_EQ(got.mandates().active_items(), items) << "node " << id;
+    mandates_seen += items.size();
+    for (ItemId item : items) {
+      EXPECT_EQ(got.mandates().count(item), want.mandates().count(item))
+          << "node " << id << " item " << item;
+    }
+    ASSERT_EQ(got.pending().size(), want.pending().size()) << "node " << id;
+    for (std::size_t k = 0; k < want.pending().size(); ++k) {
+      EXPECT_EQ(got.pending()[k].item, want.pending()[k].item);
+      EXPECT_EQ(got.pending()[k].created, want.pending()[k].created);
+      EXPECT_EQ(got.pending()[k].queries_at_creation,
+                want.pending()[k].queries_at_creation);
+    }
+    pending_seen += want.pending().size();
+    for (ItemId item = 0; item < small_config().num_items; ++item) {
+      EXPECT_EQ(got.has_pending(item), want.has_pending(item))
+          << "node " << id << " item " << item;
+    }
+  }
+  EXPECT_GT(pending_seen, 0u);
+  EXPECT_GT(mandates_seen, 0u);
+
+  for (std::size_t i = cut; i < events.size(); ++i) {
+    original.apply(events[i]);
+    restored.apply(events[i]);
+  }
+  std::ostringstream want_delta, got_delta;
+  write_delta(want_delta, original.take_delta());
+  write_delta(got_delta, restored.take_delta());
+  EXPECT_EQ(got_delta.str(), want_delta.str());
+}
+
 // The daemon batches ingest lines through apply_batch; a batch boundary
 // must not be a semantic boundary. Ragged splits, malformed lines and a
 // snapshot/restore cut mid-stream all land on the per-line bytes.
