@@ -96,6 +96,9 @@ class SnapshotChain {
   /// True when `<path>.manifest` exists (restore would use the chain
   /// rather than the plain `<path>` snapshot).
   static bool chain_available(const std::string& path);
+  /// True when restore_image(path) has something to read: a chain
+  /// manifest, or else a plain snapshot file at `path`.
+  static bool restorable(const std::string& path);
 
   /// Restores the image a chain rooted at `path` commits to: loads the
   /// base, verifies and replays each delta. Falls back to plain
@@ -112,7 +115,10 @@ class SnapshotChain {
   };
 
   void write_base(const StateImage& image);
+  /// The manifest codec, defined with the snapshot codec in
+  /// snapshot_codec.cpp.
   void commit_manifest();
+  static std::vector<Element> read_manifest(const std::string& path);
   void remove_stale(const std::vector<std::string>& old_files);
   std::string full_path(const std::string& basename) const;
 

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -76,6 +77,8 @@ struct StoreConfig {
 
   /// Throws std::invalid_argument on nonsensical values.
   void validate() const;
+
+  friend bool operator==(const StoreConfig&, const StoreConfig&) = default;
 };
 
 /// Monotonic service counters (the logical part of /metrics). All derive
@@ -100,11 +103,10 @@ struct StoreCounters {
   }
 };
 
-/// Copy-on-read snapshot of the full logical state. Plain data: taking
-/// one never blocks on I/O, serializing one never needs the store lock.
-struct StateImage {
-  static constexpr std::uint32_t kFormatVersion = 1;
-
+/// The store-wide scalars every persisted form carries: full images and
+/// deltas alike record the scenario, the replay position, the counters
+/// and the delay window, and differ only in which nodes they hold.
+struct StoreState {
   StoreConfig config;
   std::uint64_t seed = 0;
   std::uint64_t version = 0;
@@ -112,6 +114,15 @@ struct StateImage {
   Slot clock = 0;
   StoreCounters counters;
   fault::FaultCounters faults;
+  /// Recent fulfilment delays (slots), oldest first — the p50/p99 service
+  /// latency window.
+  std::vector<double> recent_delays;
+};
+
+/// Copy-on-read snapshot of the full logical state. Plain data: taking
+/// one never blocks on I/O, serializing one never needs the store lock.
+struct StateImage : StoreState {
+  static constexpr std::uint32_t kFormatVersion = 1;
 
   struct NodeImage {
     long server_meetings = 0;
@@ -124,34 +135,25 @@ struct StateImage {
     std::vector<std::pair<ItemId, long>> mandates;
     std::vector<core::PendingRequest> pending;
   };
+  /// Node n at index n.
   std::vector<NodeImage> nodes;
-
-  /// Recent fulfilment delays (slots), oldest first — the p50/p99 service
-  /// latency window.
-  std::vector<double> recent_delays;
 };
 
 /// Incremental snapshot (docs/service.md "Delta snapshots"): the store
-/// scalars — version/seq/clock, counters, faults, the delay window —
-/// plus full NodeImages of exactly the nodes dirtied since the previous
-/// checkpoint. `parent_checksum` is the body checksum of the chain
-/// element this delta extends (base snapshot or previous delta); the
-/// restore path verifies the link before applying.
-struct StateDelta {
+/// scalars plus full NodeImages of exactly the nodes dirtied since the
+/// previous checkpoint. `parent_checksum` is the body checksum of the
+/// chain element this delta extends (base snapshot or previous delta);
+/// the restore path verifies the link before applying.
+struct StateDelta : StoreState {
   static constexpr std::uint32_t kFormatVersion = 1;
 
-  StoreConfig config;
-  std::uint64_t seed = 0;
   std::uint64_t parent_checksum = 0;  ///< filled in by the chain writer
-  std::uint64_t version = 0;
-  std::uint64_t seq = 0;
-  Slot clock = 0;
-  StoreCounters counters;
-  fault::FaultCounters faults;
   /// (node id, full image) for each dirty node, ascending by id.
   std::vector<std::pair<NodeId, StateImage::NodeImage>> nodes;
-  std::vector<double> recent_delays;
 };
+
+// The snapshot codec below lives in src/service/snapshot_codec.cpp, the
+// one translation unit that knows the on-disk grammar.
 
 /// Serializes an image as the versioned snapshot format
 /// ("impatience.replicationd_snapshot/1", docs/service.md): ASCII lines,
@@ -192,10 +194,19 @@ class StateStore {
  public:
   /// Fresh store: seeded sticky pins + random cache fill, version 0.
   StateStore(const StoreConfig& config, std::uint64_t seed);
-  /// Warm restart: rebuilds the exact state of `image` (config must
-  /// match `config`; throws std::invalid_argument otherwise).
+  /// Warm restart: rebuilds the exact state of `image` in one pass.
+  /// Throws std::invalid_argument when `config` is bad or the image's
+  /// config or seed differ from it, then util::IoError when the image is
+  /// not a state this store can hold — including a mandates_created,
+  /// replicas_written or mandates_lost outside
+  /// [0, kMaxRestoredMandateCounter].
   StateStore(const StoreConfig& config, std::uint64_t seed,
              const StateImage& image);
+  /// LONG_MAX / 4: the headroom a restored mandate counter must leave,
+  /// so that adding the mandates a run creates from here on cannot
+  /// overflow a long.
+  static constexpr long kMaxRestoredMandateCounter =
+      std::numeric_limits<long>::max() / 4;
   ~StateStore();
 
   StateStore(const StateStore&) = delete;
@@ -228,8 +239,6 @@ class StateStore {
 
   /// Copy-on-read snapshot of the whole logical state.
   StateImage image() const;
-  /// image() + crash-safe write (engine::atomic_write_file).
-  void save_snapshot(const std::string& path) const;
 
   /// Full image that also resets per-node dirty tracking, atomically —
   /// the snapshot chain's base checkpoints go through this so the next
@@ -259,17 +268,15 @@ class StateStore {
 
   /// The conservation invariant, graceful under churn:
   ///   mandates_created == replicas_written + outstanding + lost
+  /// A right-hand side that overflows a long reads as not conserved.
   bool mandate_conservation_ok() const;
-
-  /// Builds a store from a snapshot file (load_image + restore).
-  static std::unique_ptr<StateStore> restore(const StoreConfig& config,
-                                             std::uint64_t seed,
-                                             const std::string& path);
 
  private:
   void init_fresh();
   void init_from_image(const StateImage& image);
-  void attach_listeners();
+  /// The tail both constructors share once the nodes exist: replica
+  /// counts, the version mirror, the dirty set and the cache listeners.
+  void finish_init();
   void bump_locked(std::uint64_t n = 1);
   void apply_line_locked(const IngestLine& line);
   void apply_event_locked(const Event& event, util::Rng& rng);
@@ -282,6 +289,7 @@ class StateStore {
   void record_delay_locked(double delay);
   void mark_dirty_locked(NodeId node);
   StateImage::NodeImage node_image_locked(NodeId node) const;
+  void fill_state_locked(StoreState& state) const;
   StateImage image_locked() const;
 
   static void cache_listener(void* context, ItemId item, int delta);

@@ -264,10 +264,6 @@ class SocketSource final : public LineSource {
   std::size_t cap_;
 };
 
-bool file_exists(const std::string& path) {
-  return ::access(path.c_str(), F_OK) == 0;
-}
-
 }  // namespace
 
 std::unique_ptr<LineSource> make_file_source(const std::string& path,
@@ -346,11 +342,8 @@ std::unique_ptr<LineSource> make_tcp_source(int port,
 
 ReplicationDaemon::ReplicationDaemon(const DaemonConfig& config)
     : config_(config) {
-  const bool chain_avail =
-      !config_.snapshot_path.empty() &&
-      SnapshotChain::chain_available(config_.snapshot_path);
   if (config_.restore && !config_.snapshot_path.empty() &&
-      (chain_avail || file_exists(config_.snapshot_path))) {
+      SnapshotChain::restorable(config_.snapshot_path)) {
     // A SIGKILL mid-snapshot leaves a stale `<path>.tmp`; the atomic
     // rename discipline means `<path>` itself — or the chain manifest —
     // is always the last consistent snapshot, so the temp file is simply

@@ -1,21 +1,17 @@
 #include "impatience/service/snapshot_chain.hpp"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "impatience/util/errors.hpp"
-#include "text_in.hpp"
-#include "text_out.hpp"
 
 namespace impatience::service {
 
 namespace {
-
-constexpr std::string_view kManifestMagic =
-    "impatience.replicationd_manifest/1";
 
 std::string chain_dir(const std::string& path) {
   const auto slash = path.find_last_of('/');
@@ -25,46 +21,6 @@ std::string chain_dir(const std::string& path) {
 std::string chain_basename(const std::string& path) {
   const auto slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-struct ManifestEntry {
-  bool is_base;
-  std::string file;
-  std::uint64_t checksum;
-  std::uint64_t seq;
-};
-
-/// Parses a manifest: the magic line, one "base|delta <file> <checksum>
-/// <seq>" line per element, and an `end` line that ends the file. The
-/// manifest has no checksum of its own; restore_image checks each entry
-/// against the file it names.
-std::vector<ManifestEntry> read_manifest(const std::string& manifest_path) {
-  const std::string text = detail::read_text_file(manifest_path);
-  detail::LineCursor lines(text);
-  if (lines.done() || lines.next_line() != kManifestMagic) {
-    throw util::IoError("snapshot chain: bad manifest magic: " +
-                        manifest_path);
-  }
-  std::vector<ManifestEntry> entries;
-  for (;;) {
-    if (lines.done()) {
-      throw util::IoError(
-          "snapshot chain: manifest missing end trailer (torn?)");
-    }
-    const std::string_view line = lines.next_line();
-    if (line == "end") break;
-    ManifestEntry& entry = entries.emplace_back();
-    entry.is_base = line.substr(0, 5) == "base ";
-    detail::Fields fields(line, entry.is_base ? "base" : "delta");
-    entry.file = fields.word("manifest file");
-    entry.checksum = fields.get<std::uint64_t>("manifest checksum");
-    entry.seq = fields.get<std::uint64_t>("manifest seq");
-    fields.finish();
-  }
-  if (!lines.done()) {
-    throw util::IoError("snapshot chain: bytes after the manifest trailer");
-  }
-  return entries;
 }
 
 }  // namespace
@@ -146,17 +102,6 @@ void SnapshotChain::write_base(const StateImage& image) {
   remove_stale(old_files);
 }
 
-void SnapshotChain::commit_manifest() {
-  detail::TextOut out(64 + 96 * elements_.size());
-  out << kManifestMagic << '\n';
-  for (const Element& e : elements_) {
-    out << (e.is_base ? "base " : "delta ") << e.file << ' ' << e.checksum
-        << ' ' << e.seq << '\n';
-  }
-  out << "end\n";
-  detail::write_text_file(options_.path + ".manifest", out.str());
-}
-
 void SnapshotChain::remove_stale(const std::vector<std::string>& old_files) {
   for (const std::string& file : old_files) {
     bool live = false;
@@ -175,13 +120,17 @@ bool SnapshotChain::chain_available(const std::string& path) {
   return in.good();
 }
 
+bool SnapshotChain::restorable(const std::string& path) {
+  return chain_available(path) || ::access(path.c_str(), F_OK) == 0;
+}
+
 StateImage SnapshotChain::restore_image(const std::string& path) {
   if (!chain_available(path)) {
     // Pre-chain snapshot layout: one full image at the plain path.
     return load_image(path);
   }
   const std::string dir = chain_dir(path);
-  const std::vector<ManifestEntry> entries = read_manifest(path + ".manifest");
+  const std::vector<Element> entries = read_manifest(path + ".manifest");
   if (entries.empty() || !entries.front().is_base) {
     throw util::IoError("snapshot chain: manifest must start with a base");
   }
@@ -196,7 +145,7 @@ StateImage SnapshotChain::restore_image(const std::string& path) {
   }
   std::uint64_t parent = checksum;
   for (std::size_t i = 1; i < entries.size(); ++i) {
-    const ManifestEntry& entry = entries[i];
+    const Element& entry = entries[i];
     if (entry.is_base) {
       throw util::IoError("snapshot chain: manifest has a second base");
     }

@@ -1,32 +1,19 @@
 #include "impatience/service/state_store.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <limits>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 #include "impatience/core/meeting.hpp"
-#include "impatience/engine/artifacts.hpp"
 #include "impatience/engine/seeding.hpp"
 #include "impatience/stats/percentile.hpp"
 #include "impatience/util/errors.hpp"
 #include "impatience/utility/factory.hpp"
-#include "text_in.hpp"
-#include "text_out.hpp"
 
 namespace impatience::service {
 
 namespace {
-
-bool config_equal(const StoreConfig& a, const StoreConfig& b) {
-  return a.num_nodes == b.num_nodes && a.num_items == b.num_items &&
-         a.cache_capacity == b.cache_capacity &&
-         a.sticky_replicas == b.sticky_replicas &&
-         a.utility_spec == b.utility_spec && a.mu == b.mu &&
-         a.reaction_scale == b.reaction_scale &&
-         a.mandate_routing == b.mandate_routing;
-}
 
 /// Validates `config` and builds its delay-utility. Every service node is
 /// a client and a server, so own-cache hits (zero-delay fulfilments)
@@ -42,6 +29,22 @@ std::unique_ptr<utility::DelayUtility> make_store_utility(
         "' has unbounded h(0+); own-cache hits cannot be valued");
   }
   return utility;
+}
+
+/// run_qcr's reaction without the auto-normalization: the store's psi is
+/// the raw Table-1 form times reaction_scale.
+std::unique_ptr<core::QcrPolicy> make_store_policy(
+    const StoreConfig& config, const utility::UtilitySet& utilities) {
+  core::QcrOptions qcr;
+  qcr.mandate_routing = config.mandate_routing;
+  qcr.reaction_scale = config.reaction_scale;
+  qcr.auto_normalize_scale = false;
+  return core::make_qcr_policy(
+      "QCR-service",
+      core::QcrReaction(utilities, config.mu,
+                        static_cast<double>(config.num_nodes),
+                        config.cache_capacity, qcr),
+      qcr);
 }
 
 }  // namespace
@@ -72,26 +75,19 @@ void StoreConfig::validate() const {
 StateStore::StateStore(const StoreConfig& config, std::uint64_t seed)
     : config_(config),
       seed_(seed),
-      utilities_(*make_store_utility(config_), config_.num_items) {
-  // run_qcr's reaction without the auto-normalization: the store's psi is
-  // the raw Table-1 form times reaction_scale.
-  core::QcrOptions qcr;
-  qcr.mandate_routing = config_.mandate_routing;
-  qcr.reaction_scale = config_.reaction_scale;
-  qcr.auto_normalize_scale = false;
-  policy_ = core::make_qcr_policy(
-      "QCR-service",
-      core::QcrReaction(utilities_, config_.mu,
-                        static_cast<double>(config_.num_nodes),
-                        config_.cache_capacity, qcr),
-      qcr);
+      utilities_(*make_store_utility(config_), config_.num_items),
+      policy_(make_store_policy(config_, utilities_)) {
   init_fresh();
+  finish_init();
 }
 
 StateStore::StateStore(const StoreConfig& config, std::uint64_t seed,
                        const StateImage& image)
-    : StateStore(config, seed) {
-  if (!config_equal(config_, image.config)) {
+    : config_(config),
+      seed_(seed),
+      utilities_(*make_store_utility(config_), config_.num_items),
+      policy_(make_store_policy(config_, utilities_)) {
+  if (config_ != image.config) {
     throw std::invalid_argument(
         "StateStore: snapshot config does not match this scenario");
   }
@@ -102,6 +98,7 @@ StateStore::StateStore(const StoreConfig& config, std::uint64_t seed,
         " (replay determinism would break)");
   }
   init_from_image(image);
+  finish_init();
 }
 
 StateStore::~StateStore() {
@@ -113,7 +110,6 @@ StateStore::~StateStore() {
 }
 
 void StateStore::init_fresh() {
-  nodes_.clear();
   nodes_.reserve(config_.num_nodes);
   for (NodeId n = 0; n < config_.num_nodes; ++n) {
     // Pure P2P (paper Section 3.1): every node both serves and requests.
@@ -139,35 +135,28 @@ void StateStore::init_fresh() {
       if (!cache.contains(item)) cache.insert_random_replace(item, rng);
     }
   }
-
-  replica_counts_.assign(config_.num_items, 0);
-  for (const core::Node& node : nodes_) {
-    for (ItemId item : node.cache().items()) ++replica_counts_[item];
-  }
-  version_ = 0;
-  version_mirror_.store(0, std::memory_order_release);
-  seq_ = 0;
-  clock_ = 0;
-  counters_ = StoreCounters{};
-  faults_ = fault::FaultCounters{};
-  mandates_created_base_ = 0;
-  replicas_written_base_ = 0;
-  recent_delays_.clear();
-  dirty_.assign(config_.num_nodes, 0);
-  dirty_list_.clear();
-  attach_listeners();
 }
 
 void StateStore::init_from_image(const StateImage& image) {
   if (image.nodes.size() != config_.num_nodes) {
     throw util::IoError("StateStore: snapshot node count mismatch");
   }
+  // The running totals start from these, so each needs headroom for what
+  // this run adds (kMaxRestoredMandateCounter). mandates_outstanding is
+  // not one of them: it is recounted from the node mandates below.
+  for (const long counter :
+       {image.counters.mandates_created, image.counters.replicas_written,
+        image.faults.mandates_lost}) {
+    if (counter < 0 || counter > kMaxRestoredMandateCounter) {
+      throw util::IoError(
+          "StateStore: snapshot mandate counter out of range");
+    }
+  }
   // Rebuild every node exactly. Cache slot order is state (random
   // replacement evicts by slot index), so items are re-inserted in the
   // stored order — appends consume no RNG while the cache is not full —
   // and the sticky pin is applied afterwards, which for an already
   // present item only sets the flag without reordering.
-  nodes_.clear();
   nodes_.reserve(config_.num_nodes);
   util::Rng dummy(0);  // never consumed: inserts below never evict
   // refresh_outstanding_locked sums every mandate count into one long.
@@ -214,13 +203,10 @@ void StateStore::init_from_image(const StateImage& image) {
       node.restore_request(req);
     }
   }
-
-  replica_counts_.assign(config_.num_items, 0);
-  for (const core::Node& node : nodes_) {
-    for (ItemId item : node.cache().items()) ++replica_counts_[item];
+  if (image.recent_delays.size() > kDelayWindow) {
+    throw util::IoError("StateStore: snapshot delay window too large");
   }
   version_ = image.version;
-  version_mirror_.store(version_, std::memory_order_release);
   seq_ = image.seq;
   clock_ = image.clock;
   counters_ = image.counters;
@@ -230,15 +216,15 @@ void StateStore::init_from_image(const StateImage& image) {
   mandates_created_base_ = image.counters.mandates_created;
   replicas_written_base_ = image.counters.replicas_written;
   recent_delays_ = image.recent_delays;
-  if (recent_delays_.size() > kDelayWindow) {
-    throw util::IoError("StateStore: snapshot delay window too large");
-  }
-  dirty_.assign(config_.num_nodes, 0);
-  dirty_list_.clear();
-  attach_listeners();
 }
 
-void StateStore::attach_listeners() {
+void StateStore::finish_init() {
+  replica_counts_.assign(config_.num_items, 0);
+  for (const core::Node& node : nodes_) {
+    for (ItemId item : node.cache().items()) ++replica_counts_[item];
+  }
+  version_mirror_.store(version_, std::memory_order_release);
+  dirty_.assign(config_.num_nodes, 0);
   for (core::Node& node : nodes_) {
     node.cache().set_change_listener(&StateStore::cache_listener, this);
   }
@@ -437,21 +423,25 @@ StateImage::NodeImage StateStore::node_image_locked(NodeId n) const {
   return ni;
 }
 
-StateImage StateStore::image_locked() const {
+void StateStore::fill_state_locked(StoreState& state) const {
   refresh_outstanding_locked();
+  state.config = config_;
+  state.seed = seed_;
+  state.version = version_;
+  state.seq = seq_;
+  state.clock = clock_;
+  state.counters = counters_;
+  state.faults = faults_;
+  state.recent_delays = recent_delays_;
+}
+
+StateImage StateStore::image_locked() const {
   StateImage image;
-  image.config = config_;
-  image.seed = seed_;
-  image.version = version_;
-  image.seq = seq_;
-  image.clock = clock_;
-  image.counters = counters_;
-  image.faults = faults_;
+  fill_state_locked(image);
   image.nodes.reserve(nodes_.size());
   for (NodeId n = 0; n < config_.num_nodes; ++n) {
     image.nodes.push_back(node_image_locked(n));
   }
-  image.recent_delays = recent_delays_;
   return image;
 }
 
@@ -472,15 +462,8 @@ StateImage StateStore::checkpoint_image() {
 
 StateDelta StateStore::take_delta() {
   std::lock_guard<std::mutex> lock(mu_);
-  refresh_outstanding_locked();
   StateDelta delta;
-  delta.config = config_;
-  delta.seed = seed_;
-  delta.version = version_;
-  delta.seq = seq_;
-  delta.clock = clock_;
-  delta.counters = counters_;
-  delta.faults = faults_;
+  fill_state_locked(delta);
   std::sort(dirty_list_.begin(), dirty_list_.end());
   delta.nodes.reserve(dirty_list_.size());
   for (NodeId n : dirty_list_) {
@@ -488,7 +471,6 @@ StateDelta StateStore::take_delta() {
     dirty_[n] = 0;
   }
   dirty_list_.clear();
-  delta.recent_delays = recent_delays_;
   return delta;
 }
 
@@ -500,13 +482,6 @@ std::size_t StateStore::dirty_node_count() const {
 core::Node StateStore::node(NodeId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   return nodes_.at(id);
-}
-
-void StateStore::save_snapshot(const std::string& path) const {
-  // Copy-on-read, then serialize outside the lock: the ingest path only
-  // stalls for the in-memory copy, never for disk I/O.
-  const StateImage snapshot = image();
-  save_image(path, snapshot);
 }
 
 StoreCounters StateStore::counters() const {
@@ -548,445 +523,14 @@ double StateStore::delay_percentile(double p) const {
 bool StateStore::mandate_conservation_ok() const {
   std::lock_guard<std::mutex> lock(mu_);
   refresh_outstanding_locked();
-  return counters_.mandates_created ==
-         counters_.replicas_written + counters_.mandates_outstanding +
-             faults_.mandates_lost;
-}
-
-std::unique_ptr<StateStore> StateStore::restore(const StoreConfig& config,
-                                                std::uint64_t seed,
-                                                const std::string& path) {
-  return std::make_unique<StateStore>(config, seed, load_image(path));
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot serialization: versioned header, ASCII lines, FNV-1a checksum
-// line plus `end` trailer so truncation and torn writes are detectable.
-
-namespace {
-
-constexpr std::string_view kMagic = "impatience.replicationd_snapshot/1";
-constexpr std::string_view kDeltaMagic = "impatience.replicationd_delta/1";
-
-using detail::Fields;
-using detail::LineCursor;
-using detail::TextOut;
-
-void write_config_record(TextOut& body, const StoreConfig& c) {
-  body << "config " << c.num_nodes << ' ' << c.num_items << ' '
-       << c.cache_capacity << ' ' << (c.sticky_replicas ? 1 : 0) << ' '
-       << c.mu << ' ' << c.reaction_scale << ' '
-       << (c.mandate_routing ? 1 : 0) << ' ' << c.utility_spec << '\n';
-}
-
-void write_counters_record(TextOut& body, const StoreCounters& k) {
-  body << "counters " << k.events_applied << ' ' << k.events_malformed << ' '
-       << k.contacts << ' ' << k.requests_created << ' '
-       << k.immediate_fulfillments << ' ' << k.fulfillments << ' '
-       << k.requests_pending << ' ' << k.mandates_created << ' '
-       << k.replicas_written << ' ' << k.mandates_outstanding << ' '
-       << k.total_gain << ' ' << k.delay_sum << '\n';
-}
-
-void write_faults_record(TextOut& body, const fault::FaultCounters& f) {
-  body << "faults " << f.crashes << ' ' << f.replicas_lost << ' '
-       << f.mandates_lost << ' ' << f.requests_lost << '\n';
-}
-
-void write_node_records(TextOut& body, std::uint64_t id,
-                        const StateImage::NodeImage& ni) {
-  body << "node " << id << ' ' << ni.server_meetings << ' ' << ni.sticky
-       << '\n';
-  body << "cache " << ni.cache.size();
-  for (ItemId item : ni.cache) body << ' ' << item;
-  body << '\n';
-  body << "mandates " << ni.mandates.size();
-  for (const auto& [item, count] : ni.mandates) {
-    body << ' ' << item << ' ' << count;
-  }
-  body << '\n';
-  body << "pending " << ni.pending.size();
-  for (const core::PendingRequest& req : ni.pending) {
-    body << ' ' << req.item << ' ' << req.created << ' '
-         << req.queries_at_creation;
-  }
-  body << '\n';
-}
-
-void write_delays_record(TextOut& body, const std::vector<double>& d) {
-  body << "delays " << d.size();
-  for (double v : d) body << ' ' << v;
-  body << '\n';
-}
-
-/// Bytes to reserve for the writers' text, from typical record widths,
-/// so a real snapshot is written with one allocation. A short guess only
-/// costs the string a regrowth; reserved pages that stay untouched are
-/// never made resident.
-std::size_t reserve_bytes(const StoreConfig& config,
-                          const std::vector<double>& delays) {
-  return 512 + config.utility_spec.size() + 25 * delays.size();
-}
-std::size_t reserve_bytes(const StateImage::NodeImage& ni) {
-  return 64 + 8 * ni.cache.size() + 16 * ni.mandates.size() +
-         32 * ni.pending.size();
-}
-
-/// Appends "checksum <hex>\nend\n" and returns the body checksum.
-std::uint64_t seal_body(TextOut& out) {
-  const std::uint64_t sum = engine::fnv1a64(out.str());
-  out << "checksum ";
-  out.hex16(sum) << '\n' << "end\n";
-  return sum;
-}
-
-/// The whole snapshot file as text; returns the body checksum.
-std::uint64_t encode_image(const StateImage& image, std::string& text) {
-  std::size_t bytes = reserve_bytes(image.config, image.recent_delays);
-  for (const StateImage::NodeImage& ni : image.nodes) {
-    bytes += reserve_bytes(ni);
-  }
-  TextOut body(bytes);
-  body << kMagic << '\n';
-  write_config_record(body, image.config);
-  body << "seed " << image.seed << '\n';
-  body << "state " << image.version << ' ' << image.seq << ' ' << image.clock
-       << '\n';
-  write_counters_record(body, image.counters);
-  write_faults_record(body, image.faults);
-  body << "nodes " << image.nodes.size() << '\n';
-  for (std::size_t n = 0; n < image.nodes.size(); ++n) {
-    write_node_records(body, n, image.nodes[n]);
-  }
-  write_delays_record(body, image.recent_delays);
-  const std::uint64_t sum = seal_body(body);
-  text = std::move(body.str());
-  return sum;
-}
-
-/// The whole delta file as text; returns the body checksum.
-std::uint64_t encode_delta(const StateDelta& delta, std::string& text) {
-  std::size_t bytes = reserve_bytes(delta.config, delta.recent_delays);
-  for (const auto& entry : delta.nodes) bytes += reserve_bytes(entry.second);
-  TextOut body(bytes);
-  body << kDeltaMagic << '\n';
-  body << "parent " << delta.parent_checksum << '\n';
-  write_config_record(body, delta.config);
-  body << "seed " << delta.seed << '\n';
-  body << "state " << delta.version << ' ' << delta.seq << ' ' << delta.clock
-       << '\n';
-  write_counters_record(body, delta.counters);
-  write_faults_record(body, delta.faults);
-  body << "nodes " << delta.nodes.size() << '\n';
-  for (const auto& [id, ni] : delta.nodes) {
-    write_node_records(body, id, ni);
-  }
-  write_delays_record(body, delta.recent_delays);
-  const std::uint64_t sum = seal_body(body);
-  text = std::move(body.str());
-  return sum;
-}
-
-/// Pass 1 of every reader: verify the checksum and trailer of the whole
-/// file and return a view of the body they seal, so a torn or bit-flipped
-/// file is rejected before a field is parsed. The file must end in
-/// exactly "checksum <16 lowercase hex digits>\nend\n".
-std::string_view checked_body(std::string_view text, std::uint64_t* checksum) {
-  constexpr std::string_view kChecksum = "checksum ";
-  constexpr std::string_view kEnd = "\nend\n";
-  constexpr std::size_t kDigits = 16;
-  const std::size_t at = text.rfind("\nchecksum ");
-  if (at == std::string_view::npos) {
-    throw util::IoError("snapshot: missing checksum line (torn file?)");
-  }
-  const std::string_view body = text.substr(0, at + 1);
-  const std::string_view digits = text.substr(body.size() + kChecksum.size());
-  std::uint64_t stored = 0;
-  const auto [end, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), stored, 16);
-  if (ec != std::errc() || end != digits.data() + kDigits ||
-      digits.substr(0, kDigits).find_first_not_of("0123456789abcdef") !=
-          std::string_view::npos) {
-    throw util::IoError("snapshot: malformed checksum line");
-  }
-  if (engine::fnv1a64(body) != stored) {
-    throw util::IoError("snapshot: checksum mismatch (corrupt file)");
-  }
-  if (digits.substr(kDigits) != kEnd) {
-    throw util::IoError("snapshot: missing end trailer, or bytes after it");
-  }
-  if (checksum) *checksum = stored;
-  return body;
-}
-
-void expect_magic(LineCursor& lines, std::string_view magic,
-                  const char* what) {
-  if (lines.next_line() != magic) {
-    throw util::IoError(std::string("snapshot: bad magic (not a ") + what +
-                        ")");
-  }
-}
-
-void read_config_record(LineCursor& lines, StoreConfig& config) {
-  Fields r(lines.next_line(), "config");
-  config.num_nodes = r.get<NodeId>("num_nodes");
-  config.num_items = r.get<ItemId>("num_items");
-  config.cache_capacity = r.get<int>("cache_capacity");
-  config.sticky_replicas = r.flag("sticky_replicas");
-  config.mu = r.get<double>("mu");
-  config.reaction_scale = r.get<double>("reaction_scale");
-  config.mandate_routing = r.flag("mandate_routing");
-  config.utility_spec = r.rest("utility_spec");
-  try {
-    config.validate();
-  } catch (const std::invalid_argument& e) {
-    throw util::IoError(std::string("snapshot: ") + e.what());
-  }
-}
-
-/// The "seed" and "state" records, which images and deltas share.
-void read_seed_and_state(LineCursor& lines, std::uint64_t& seed,
-                         std::uint64_t& version, std::uint64_t& seq,
-                         Slot& clock) {
-  {
-    Fields r(lines.next_line(), "seed");
-    seed = r.get<std::uint64_t>("seed");
-    r.finish();
-  }
-  Fields r(lines.next_line(), "state");
-  version = r.get<std::uint64_t>("version");
-  seq = r.get<std::uint64_t>("seq");
-  clock = r.get<Slot>("clock");
-  r.finish();
-}
-
-void read_counters_record(LineCursor& lines, StoreCounters& k) {
-  Fields r(lines.next_line(), "counters");
-  k.events_applied = r.get<std::uint64_t>("events_applied");
-  k.events_malformed = r.get<std::uint64_t>("events_malformed");
-  k.contacts = r.get<std::uint64_t>("contacts");
-  k.requests_created = r.get<std::uint64_t>("requests_created");
-  k.immediate_fulfillments = r.get<std::uint64_t>("immediate_fulfillments");
-  k.fulfillments = r.get<std::uint64_t>("fulfillments");
-  k.requests_pending = r.get<std::uint64_t>("requests_pending");
-  k.mandates_created = r.get<long>("mandates_created");
-  k.replicas_written = r.get<long>("replicas_written");
-  k.mandates_outstanding = r.get<long>("mandates_outstanding");
-  k.total_gain = r.get<double>("total_gain");
-  k.delay_sum = r.get<double>("delay_sum");
-  r.finish();
-}
-
-void read_faults_record(LineCursor& lines, fault::FaultCounters& f) {
-  Fields r(lines.next_line(), "faults");
-  f.crashes = r.get<std::uint64_t>("crashes");
-  f.replicas_lost = r.get<std::uint64_t>("replicas_lost");
-  f.mandates_lost = r.get<long>("mandates_lost");
-  f.requests_lost = r.get<std::uint64_t>("requests_lost");
-  r.finish();
-}
-
-/// Reads one node/cache/mandates/pending block; returns the node id.
-std::uint64_t read_node_records(LineCursor& lines,
-                                StateImage::NodeImage& ni) {
-  std::uint64_t id = 0;
-  {
-    Fields r(lines.next_line(), "node");
-    id = r.get<std::uint64_t>("node id");
-    ni.server_meetings = r.get<long>("server_meetings");
-    ni.sticky = r.get<std::int64_t>("sticky");
-    r.finish();
-  }
-  // Declared counts are untrusted: each vector reserves at most what
-  // its line can hold and grows as its entries parse, so a hostile count
-  // fails at the first missing field instead of allocating up front.
-  {
-    Fields r(lines.next_line(), "cache");
-    const auto count = r.get<std::size_t>("cache size");
-    ni.cache.reserve(r.capacity_for(count, 1));
-    for (std::size_t k = 0; k < count; ++k) {
-      ni.cache.push_back(r.get<ItemId>("cache item"));
-    }
-    r.finish();
-  }
-  {
-    Fields r(lines.next_line(), "mandates");
-    const auto count = r.get<std::size_t>("mandate entries");
-    ni.mandates.reserve(r.capacity_for(count, 2));
-    for (std::size_t k = 0; k < count; ++k) {
-      const auto item = r.get<ItemId>("mandate item");
-      ni.mandates.emplace_back(item, r.get<long>("mandate count"));
-    }
-    r.finish();
-  }
-  {
-    Fields r(lines.next_line(), "pending");
-    const auto count = r.get<std::size_t>("pending entries");
-    ni.pending.reserve(r.capacity_for(count, 3));
-    for (std::size_t k = 0; k < count; ++k) {
-      core::PendingRequest req;
-      req.item = r.get<ItemId>("pending item");
-      req.created = r.get<Slot>("pending created");
-      req.queries_at_creation = r.get<long>("pending queries");
-      ni.pending.push_back(req);
-    }
-    r.finish();
-  }
-  return id;
-}
-
-/// The "delays" record, which closes the body: nothing may follow it.
-void read_delays_record(LineCursor& lines, std::vector<double>& delays) {
-  Fields r(lines.next_line(), "delays");
-  const auto count = r.get<std::size_t>("delay count");
-  delays.reserve(r.capacity_for(count, 1));
-  for (std::size_t k = 0; k < count; ++k) {
-    delays.push_back(r.get<double>("delay"));
-  }
-  r.finish();
-  if (!lines.done()) {
-    throw util::IoError("snapshot: unexpected record after 'delays'");
-  }
-}
-
-/// The "nodes" record's count, which the config record bounds: an image
-/// holds exactly config.num_nodes nodes, a delta at most that many.
-std::size_t read_nodes_count(LineCursor& lines, const StoreConfig& config,
-                             bool exact) {
-  Fields r(lines.next_line(), "nodes");
-  const auto count = r.get<std::size_t>("nodes");
-  r.finish();
-  if (exact ? count != config.num_nodes : count > config.num_nodes) {
-    throw util::IoError("snapshot: node count " + std::to_string(count) +
-                        (exact ? " != " : " > ") + "config num_nodes " +
-                        std::to_string(config.num_nodes));
-  }
-  return count;
-}
-
-StateImage parse_image(std::string_view text, std::uint64_t* checksum) {
-  LineCursor lines(checked_body(text, checksum));
-  expect_magic(lines, kMagic, "replicationd snapshot");
-  StateImage image;
-  read_config_record(lines, image.config);
-  read_seed_and_state(lines, image.seed, image.version, image.seq,
-                      image.clock);
-  read_counters_record(lines, image.counters);
-  read_faults_record(lines, image.faults);
-  const std::size_t num_nodes =
-      read_nodes_count(lines, image.config, /*exact=*/true);
-  for (std::size_t n = 0; n < num_nodes; ++n) {
-    if (read_node_records(lines, image.nodes.emplace_back()) != n) {
-      throw util::IoError("snapshot: node records out of order");
-    }
-  }
-  read_delays_record(lines, image.recent_delays);
-  return image;
-}
-
-StateDelta parse_delta(std::string_view text, std::uint64_t* checksum) {
-  LineCursor lines(checked_body(text, checksum));
-  expect_magic(lines, kDeltaMagic, "replicationd delta");
-  StateDelta delta;
-  {
-    Fields r(lines.next_line(), "parent");
-    delta.parent_checksum = r.get<std::uint64_t>("parent checksum");
-    r.finish();
-  }
-  read_config_record(lines, delta.config);
-  read_seed_and_state(lines, delta.seed, delta.version, delta.seq,
-                      delta.clock);
-  read_counters_record(lines, delta.counters);
-  read_faults_record(lines, delta.faults);
-  const std::size_t num_nodes =
-      read_nodes_count(lines, delta.config, /*exact=*/false);
-  std::uint64_t prev_id = 0;
-  for (std::size_t n = 0; n < num_nodes; ++n) {
-    auto& [id, ni] = delta.nodes.emplace_back();
-    const std::uint64_t got = read_node_records(lines, ni);
-    if (got >= delta.config.num_nodes) {
-      throw util::IoError("snapshot: delta node id out of range");
-    }
-    if (n > 0 && got <= prev_id) {
-      throw util::IoError("snapshot: delta node records not ascending");
-    }
-    id = static_cast<NodeId>(got);
-    prev_id = got;
-  }
-  read_delays_record(lines, delta.recent_delays);
-  return delta;
-}
-
-}  // namespace
-
-std::uint64_t write_image(std::ostream& out, const StateImage& image) {
-  std::string text;
-  const std::uint64_t checksum = encode_image(image, text);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  return checksum;
-}
-
-StateImage read_image(std::istream& in, std::uint64_t* checksum) {
-  return parse_image(detail::read_text_stream(in), checksum);
-}
-
-std::uint64_t save_image(const std::string& path, const StateImage& image) {
-  std::string text;
-  const std::uint64_t checksum = encode_image(image, text);
-  detail::write_text_file(path, text);
-  return checksum;
-}
-
-StateImage load_image(const std::string& path, std::uint64_t* checksum) {
-  return parse_image(detail::read_text_file(path), checksum);
-}
-
-std::uint64_t write_delta(std::ostream& out, const StateDelta& delta) {
-  std::string text;
-  const std::uint64_t checksum = encode_delta(delta, text);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  return checksum;
-}
-
-StateDelta read_delta(std::istream& in, std::uint64_t* checksum) {
-  return parse_delta(detail::read_text_stream(in), checksum);
-}
-
-std::uint64_t save_delta(const std::string& path, const StateDelta& delta) {
-  std::string text;
-  const std::uint64_t checksum = encode_delta(delta, text);
-  detail::write_text_file(path, text);
-  return checksum;
-}
-
-StateDelta load_delta(const std::string& path, std::uint64_t* checksum) {
-  return parse_delta(detail::read_text_file(path), checksum);
-}
-
-void apply_delta(StateImage& image, const StateDelta& delta) {
-  if (!config_equal(image.config, delta.config)) {
-    throw util::IoError("snapshot: delta config does not match base");
-  }
-  if (image.seed != delta.seed) {
-    throw util::IoError("snapshot: delta seed does not match base");
-  }
-  if (delta.seq < image.seq) {
-    throw util::IoError("snapshot: delta seq regresses past base");
-  }
-  for (const auto& [id, ni] : delta.nodes) {
-    if (id >= image.nodes.size()) {
-      throw util::IoError("snapshot: delta node id out of range");
-    }
-  }
-  image.version = delta.version;
-  image.seq = delta.seq;
-  image.clock = delta.clock;
-  image.counters = delta.counters;
-  image.faults = delta.faults;
-  for (const auto& [id, ni] : delta.nodes) {
-    image.nodes[id] = ni;
-  }
-  image.recent_delays = delta.recent_delays;
+  // Checked sums: restored totals near LONG_MAX must read as "not
+  // conserved", not overflow.
+  long accounted = 0;
+  return !__builtin_add_overflow(counters_.replicas_written,
+                                 counters_.mandates_outstanding, &accounted) &&
+         !__builtin_add_overflow(accounted, faults_.mandates_lost,
+                                 &accounted) &&
+         counters_.mandates_created == accounted;
 }
 
 }  // namespace impatience::service

@@ -1,6 +1,6 @@
 // Internal reader for the snapshot, delta and manifest formats — the
-// inverse of text_out.hpp, shared by state_store.cpp and
-// snapshot_chain.cpp, not part of the public API.
+// inverse of text_out.hpp, used by snapshot_codec.cpp only, not part of
+// the public API.
 #pragma once
 
 #include <algorithm>

@@ -1,5 +1,5 @@
-// Internal helper for the snapshot, delta and manifest writers — shared
-// by state_store.cpp and snapshot_chain.cpp, not part of the public API.
+// Internal helper for the snapshot, delta and manifest writers — used by
+// snapshot_codec.cpp only, not part of the public API.
 #pragma once
 
 #include <charconv>

@@ -379,6 +379,26 @@ TEST(ServiceSnapshotDelta, OrphanedDataFileWithoutManifestIsInvisible) {
   EXPECT_LT(restored.seq, store.seq());
 }
 
+// The daemon restores exactly when restorable() says there is something
+// to read: a manifest, or else a plain snapshot at the path.
+TEST(ServiceSnapshotDelta, RestorableSeesManifestOrPlainFile) {
+  StateStore store(small_config(), 95);
+  for (const Event& event : workload(100, 96)) store.apply(event);
+
+  TempChain plain("snapdelta_restorable_plain");
+  EXPECT_FALSE(SnapshotChain::restorable(plain.path()));
+  save_image(plain.path(), store.image());
+  EXPECT_TRUE(SnapshotChain::restorable(plain.path()));
+
+  TempChain chained("snapdelta_restorable_chain");
+  chained.file("base", store.seq());  // the chain's first element
+  SnapshotChain chain({chained.path(), /*delta_limit=*/4});
+  chain.snapshot(store);
+  EXPECT_TRUE(SnapshotChain::restorable(chained.path()));
+  EXPECT_EQ(serialized_image(SnapshotChain::restore_image(chained.path())),
+            serialized(store));
+}
+
 TEST(ServiceSnapshotDelta, ManifestTrailerAndMagicAreEnforced) {
   TempChain chain("snapdelta_manifest");
   StateStore store(small_config(), 101);

@@ -6,6 +6,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -138,7 +140,7 @@ TEST(ServiceStateStore, SnapshotRoundTripsByteExactly) {
   StateStore store(small_config(), 5);
   for (const Event& event : workload(800, 9, 0.01)) store.apply(event);
   TempFile file("roundtrip");
-  store.save_snapshot(file.path());
+  save_image(file.path(), store.image());
   const StateImage loaded = load_image(file.path());
   std::ostringstream a, b;
   write_image(a, store.image());
@@ -159,7 +161,7 @@ TEST(ServiceStateStore, WarmRestartIsStateIdentical) {
   StateStore first(small_config(), 6);
   for (std::size_t i = 0; i < cut; ++i) first.apply(events[i]);
   TempFile file("warmrestart");
-  first.save_snapshot(file.path());
+  save_image(file.path(), first.image());
 
   StateStore resumed(small_config(), 6, load_image(file.path()));
   EXPECT_EQ(resumed.seq(), cut);
@@ -283,7 +285,7 @@ TEST(ServiceStateStore, RestoreFallsBackPastTornTempFile) {
   const auto events = workload(600, 11);
   for (std::size_t i = 0; i < 300; ++i) store.apply(events[i]);
   TempFile file("tornsnap");
-  store.save_snapshot(file.path());
+  save_image(file.path(), store.image());
   const std::string consistent = serialized(store);
 
   // Simulate the torn write: a half-serialized temp next to the good file.
@@ -292,7 +294,8 @@ TEST(ServiceStateStore, RestoreFallsBackPastTornTempFile) {
     torn << "impatience.replicationd_snapshot/1\nconfig 16 12 3";
   }
 
-  auto restored = StateStore::restore(small_config(), 7, file.path());
+  auto restored = std::make_unique<StateStore>(small_config(), 7,
+                                               load_image(file.path()));
   EXPECT_EQ(serialized(*restored), consistent);
   EXPECT_TRUE(restored->mandate_conservation_ok());
 }
@@ -301,7 +304,7 @@ TEST(ServiceStateStore, TruncatedOrCorruptSnapshotIsRejected) {
   StateStore store(small_config(), 8);
   for (const Event& event : workload(200, 12)) store.apply(event);
   TempFile file("corrupt");
-  store.save_snapshot(file.path());
+  save_image(file.path(), store.image());
 
   std::string text;
   {
@@ -526,7 +529,7 @@ TEST(ServiceSnapshot, RepeatedMandateItemIsAnIoError) {
 TEST(ServiceStateStore, RestoreRefusesMismatchedScenario) {
   StateStore store(small_config(), 9);
   TempFile file("mismatch");
-  store.save_snapshot(file.path());
+  save_image(file.path(), store.image());
 
   StoreConfig other = small_config();
   other.cache_capacity = 4;
@@ -535,6 +538,82 @@ TEST(ServiceStateStore, RestoreRefusesMismatchedScenario) {
   // Wrong seed would silently change replay randomness: refused too.
   EXPECT_THROW(StateStore(small_config(), 10, load_image(file.path())),
                std::invalid_argument);
+}
+
+/// `image` written and read back, so a test restores what a sealed file
+/// with these counters would give the store.
+StateImage resealed(const StateImage& image) {
+  std::ostringstream out;
+  write_image(out, image);
+  std::istringstream in(out.str());
+  return read_image(in);
+}
+
+// Restored mandate counters seed totals the store keeps adding to, so a
+// restore refuses any outside [0, kMaxRestoredMandateCounter].
+TEST(ServiceStateStore, RestoreRefusesMandateCountersPastHeadroom) {
+  StateStore store(small_config(), 15);
+  for (const Event& event : workload(800, 16, 0.01)) store.apply(event);
+  const StateImage base = store.image();
+  constexpr long kMax = std::numeric_limits<long>::max();
+  constexpr long kBound = StateStore::kMaxRestoredMandateCounter;
+
+  // The reader takes any long; the store is the one that refuses.
+  StateImage image = base;
+  image.counters.replicas_written = kMax;
+  image.faults.mandates_lost = 1;
+  EXPECT_THROW(StateStore(small_config(), 15, resealed(image)),
+               util::IoError);
+
+  for (const long bad : {-1L, kBound + 1, kMax}) {
+    image = base;
+    image.counters.mandates_created = bad;
+    EXPECT_THROW(StateStore(small_config(), 15, image), util::IoError) << bad;
+    image = base;
+    image.counters.replicas_written = bad;
+    EXPECT_THROW(StateStore(small_config(), 15, image), util::IoError) << bad;
+    image = base;
+    image.faults.mandates_lost = bad;
+    EXPECT_THROW(StateStore(small_config(), 15, image), util::IoError) << bad;
+  }
+  image = base;
+  image.counters.mandates_created = kBound;
+  image.counters.replicas_written = kBound;
+  image.faults.mandates_lost = kBound;
+  EXPECT_NO_THROW(StateStore(small_config(), 15, image));
+}
+
+// Counters restored at the headroom bound keep closing the conservation
+// sum while a crash-bearing stream adds to them.
+TEST(ServiceStateStore, MandateCountersAtHeadroomStayConserved) {
+  StateStore store(small_config(), 17);
+  const auto events = workload(3000, 18, 0.01);
+  for (std::size_t i = 0; i < 1000; ++i) store.apply(events[i]);
+  StateImage image = store.image();
+  ASSERT_TRUE(store.mandate_conservation_ok());
+  const long shift =
+      StateStore::kMaxRestoredMandateCounter - image.counters.mandates_created;
+  image.counters.mandates_created += shift;
+  image.counters.replicas_written += shift;
+
+  StateStore restored(small_config(), 17, resealed(image));
+  EXPECT_TRUE(restored.mandate_conservation_ok());
+  for (std::size_t i = 1000; i < events.size(); ++i) restored.apply(events[i]);
+  EXPECT_GT(restored.counters().mandates_created,
+            StateStore::kMaxRestoredMandateCounter);
+  EXPECT_GT(restored.faults().mandates_lost, image.faults.mandates_lost);
+  EXPECT_TRUE(restored.mandate_conservation_ok());
+}
+
+// An outstanding total near LONG_MAX restores (each count parses and the
+// sum fits), and the conservation check reads it as not conserved rather
+// than overflowing.
+TEST(ServiceStateStore, OutstandingNearLongMaxIsNotConserved) {
+  StateStore store(small_config(), 19);
+  StateImage image = store.image();
+  image.nodes[0].mandates = {{3, std::numeric_limits<long>::max()}};
+  StateStore restored(small_config(), 19, resealed(image));
+  EXPECT_FALSE(restored.mandate_conservation_ok());
 }
 
 TEST(ServiceStateStore, CrashEventsDegradeConservationGracefully) {
