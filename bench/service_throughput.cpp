@@ -1,7 +1,8 @@
 // replicationd service benchmarks: sustained event-apply throughput of
-// the versioned state store, snapshot serialization and parse cost, and
-// /metrics scrape latency while a mutator thread is applying events (the
-// daemon's steady-state contention pattern). Compiled into
+// the versioned state store, snapshot serialization and parse cost, the
+// store rebuild of a warm restart, and /metrics scrape latency while a
+// mutator thread is applying events (the daemon's steady-state
+// contention pattern). Compiled into
 // micro_benchmarks so scripts/bench_snapshot.sh snapshots the *_mean
 // numbers per PR.
 #include <benchmark/benchmark.h>
@@ -96,6 +97,24 @@ void BM_ServiceSnapshotLoad(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_ServiceSnapshotLoad)->Unit(benchmark::kMillisecond);
+
+// Store rebuild: StateStore(config, seed, image) from a 10^4-node image
+// held in memory, the half of a warm restart that BM_ServiceSnapshotLoad
+// leaves out.
+void BM_ServiceRestore(benchmark::State& state) {
+  const std::uint32_t nodes = 10000;
+  service::StateStore store(bench_config(nodes), 16);
+  for (const service::Event& event : bench_stream(nodes, 40000, 23)) {
+    store.apply(event);
+  }
+  const service::StateImage image = store.image();
+  for (auto _ : state) {
+    service::StateStore restored(bench_config(nodes), 16, image);
+    benchmark::DoNotOptimize(restored.version());
+  }
+  state.SetItemsProcessed(state.iterations() * nodes);
+}
+BENCHMARK(BM_ServiceRestore)->Unit(benchmark::kMillisecond);
 
 // Incremental checkpoint cost: dirty-node delta extraction + delta
 // serialization after a burst of events — what the chain writer pays per
