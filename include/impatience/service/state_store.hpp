@@ -192,6 +192,12 @@ void apply_delta(StateImage& image, const StateDelta& delta);
 
 class StateStore {
  public:
+  /// The largest mandate counter a restore accepts. LONG_MAX / 4 leaves
+  /// room for the totals a run adds from there without overflowing a
+  /// long.
+  static constexpr long kMaxRestoredMandateCounter =
+      std::numeric_limits<long>::max() / 4;
+
   /// Fresh store: seeded sticky pins + random cache fill, version 0.
   StateStore(const StoreConfig& config, std::uint64_t seed);
   /// Warm restart: rebuilds the exact state of `image` in one pass.
@@ -202,11 +208,6 @@ class StateStore {
   /// [0, kMaxRestoredMandateCounter].
   StateStore(const StoreConfig& config, std::uint64_t seed,
              const StateImage& image);
-  /// LONG_MAX / 4: the headroom a restored mandate counter must leave,
-  /// so that adding the mandates a run creates from here on cannot
-  /// overflow a long.
-  static constexpr long kMaxRestoredMandateCounter =
-      std::numeric_limits<long>::max() / 4;
   ~StateStore();
 
   StateStore(const StateStore&) = delete;
