@@ -1,7 +1,7 @@
 // replicationd service benchmarks: sustained event-apply throughput of
-// the versioned state store, snapshot serialization and parse cost, the
-// store rebuild of a warm restart, and /metrics scrape latency while a
-// mutator thread is applying events (the daemon's steady-state
+// the versioned state store, snapshot capture, serialization and parse
+// cost, the store rebuild of a warm restart, and /metrics scrape latency
+// while a mutator thread is applying events (the daemon's steady-state
 // contention pattern). Compiled into
 // micro_benchmarks so scripts/bench_snapshot.sh snapshots the *_mean
 // numbers per PR.
@@ -77,6 +77,26 @@ void BM_ServiceSnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ServiceSnapshot)->Arg(50)->Arg(200);
+
+// Snapshot capture: refill of one StateImage reused across iterations
+// from a 10^4-node store, with no serialization — the part of a
+// by-sequence boundary that holds the store lock on the ingest thread.
+void BM_ServiceCapture(benchmark::State& state) {
+  const std::uint32_t nodes = 10000;
+  service::StateStore store(bench_config(nodes), 24);
+  for (const service::Event& event : bench_stream(nodes, 40000, 25)) {
+    store.apply(event);
+  }
+  service::StateImage buffer;
+  store.image(buffer);
+  for (auto _ : state) {
+    store.image(buffer);
+    benchmark::DoNotOptimize(buffer.nodes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * nodes);
+}
+BENCHMARK(BM_ServiceCapture)->Unit(benchmark::kMillisecond);
 
 // Snapshot parse: read_image of a 10^4-node image held in memory, the
 // load half of a warm restart (the store rebuild is not included).

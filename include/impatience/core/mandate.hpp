@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -39,6 +40,13 @@ class MandateBag {
   /// (QcrPolicy's per-meeting item unions).
   void append_active_items(std::vector<ItemId>& out) const {
     for (const auto& entry : active_) out.push_back(entry.first);
+  }
+
+  /// The (item, count > 0) entries in unspecified order, read in place —
+  /// the allocation-free form for callers that copy and sort anyway
+  /// (the service store's snapshot capture).
+  std::span<const std::pair<ItemId, long>> entries() const noexcept {
+    return active_;
   }
 
  private:

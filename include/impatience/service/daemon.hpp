@@ -205,10 +205,14 @@ class ReplicationDaemon {
   /// Waits (under snapshot_mu_) until no persist is in flight, counting
   /// the wait, and rethrows a failure the writer thread hit.
   void await_idle_locked(std::unique_lock<std::mutex>& lock);
-  SnapshotCapture capture(bool final);
+  /// Refills capture_ under the store lock (a chain base when `final`)
+  /// and records how long that took. Call with snapshot_mu_ held and no
+  /// persist in flight.
+  void capture(bool final);
   /// Serializes and writes one capture, records it in the metrics, and
-  /// ends the in-flight period (also when the write throws).
-  void persist(SnapshotCapture capture);
+  /// ends the in-flight period (also when the write throws). Frees
+  /// nothing: the capture's storage is refilled at the next boundary.
+  void persist(SnapshotCapture& capture);
   void snapshot_loop();
   std::string render() const;
   void write_announce_file() const;
@@ -226,12 +230,16 @@ class ReplicationDaemon {
   std::atomic<bool> stop_{false};
   /// Snapshot writer state. At most one snapshot is in flight, from its
   /// capture until its persist returns, so captures (and with them files
-  /// and manifest entries) are strictly ordered and at most one image is
-  /// alive. stop() and every hand-over take snapshot_mu_, and the writer
-  /// waits on snapshot_cv_ with a predicate, so no wake-up is lost.
+  /// and manifest entries) are strictly ordered, and one capture buffer
+  /// serves them all: a capture writes capture_ under snapshot_mu_ only
+  /// while no persist is in flight, and the persist that reads it ends
+  /// the in-flight period under the same mutex. stop() and every
+  /// hand-over take snapshot_mu_, and the writer waits on snapshot_cv_
+  /// with a predicate, so no wake-up is lost.
   std::mutex snapshot_mu_;
   std::condition_variable snapshot_cv_;
-  std::optional<SnapshotCapture> queued_;  ///< handed over, not yet taken
+  SnapshotCapture capture_;  ///< reused at every snapshot
+  bool queued_ = false;      ///< capture_ handed over, not yet taken
   bool in_flight_ = false;
   bool writer_running_ = false;  ///< the writer thread still takes work
   std::exception_ptr writer_error_;  ///< persist failure, rethrown once

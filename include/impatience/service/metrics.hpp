@@ -26,6 +26,8 @@ class ServiceMetrics {
   /// Records a snapshot persisted at the given store version, whose
   /// serialize + write took `write_seconds`.
   void record_snapshot(std::uint64_t version, double write_seconds);
+  /// Records how long a non-empty snapshot capture held the store lock.
+  void record_snapshot_capture(double seconds);
   /// Records a snapshot capture that waited for an in-flight persist.
   void record_snapshot_wait();
 
@@ -33,6 +35,7 @@ class ServiceMetrics {
   std::uint64_t snapshot_last_version() const;
   std::uint64_t snapshot_waits_total() const;
   double snapshot_write_seconds_last() const;
+  double snapshot_capture_seconds_last() const;
 
   /// p-th percentile of the recent apply-latency window (us); 0 when
   /// empty.
@@ -47,6 +50,7 @@ class ServiceMetrics {
   std::uint64_t snapshot_last_version_ = 0;
   std::uint64_t snapshot_waits_ = 0;
   double snapshot_write_seconds_last_ = 0.0;
+  double snapshot_capture_seconds_last_ = 0.0;
 };
 
 /// Renders the full /metrics document from a store + monitor state.

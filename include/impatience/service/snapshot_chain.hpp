@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,14 +35,26 @@ namespace impatience::service {
 /// a full image (a plain snapshot or a chain base) or a dirty-node delta,
 /// or neither when a chain checkpoint finds the store unchanged. Plain
 /// data, so it can be serialized and written on another thread.
+///
+/// A capture is a reusable buffer: each capture overwrites the member its
+/// kind names, so its per-node storage outlives the boundary and the next
+/// capture refills it in place instead of allocating and freeing a whole
+/// image. A chain's captures move NodeImages between the two members
+/// (snapshot_chain.cpp), so the member a capture does not name holds no
+/// meaningful state.
 struct SnapshotCapture {
-  std::optional<StateImage> image;
-  std::optional<StateDelta> delta;
+  enum class Kind { none, image, delta };
 
-  bool empty() const noexcept { return !image && !delta; }
+  Kind kind = Kind::none;
+  StateImage image;  ///< the capture when kind == Kind::image
+  StateDelta delta;  ///< the capture when kind == Kind::delta
+
+  bool empty() const noexcept { return kind == Kind::none; }
   /// Store version the capture carries; 0 when empty.
   std::uint64_t version() const noexcept {
-    return image ? image->version : delta ? delta->version : 0;
+    return kind == Kind::image   ? image.version
+           : kind == Kind::delta ? delta.version
+                                 : 0;
   }
 };
 
@@ -70,21 +81,32 @@ class SnapshotChain {
   /// delta_limit is reached — then commits the manifest. A checkpoint at
   /// an unchanged seq is skipped (nothing to persist). Returns the seq
   /// the chain now ends at.
-  std::uint64_t snapshot(StateStore& store) { return persist(capture(store)); }
+  std::uint64_t snapshot(StateStore& store) {
+    SnapshotCapture captured;
+    capture(store, captured);
+    return persist(captured);
+  }
 
   /// Graceful-exit collapse: writes a fresh full base, commits a
   /// one-element manifest, and removes the superseded chain files.
-  void finalize(StateStore& store) { persist(capture_base(store)); }
+  void finalize(StateStore& store) {
+    SnapshotCapture captured;
+    capture_base(store, captured);
+    persist(captured);
+  }
 
-  /// Capture half of snapshot(): a delta of the dirty nodes, a full base
-  /// (empty chain or delta limit reached), or nothing (unchanged seq).
-  SnapshotCapture capture(StateStore& store) const;
-  /// Capture half of finalize(): always a full base.
-  static SnapshotCapture capture_base(StateStore& store);
+  /// Capture half of snapshot(), into `out`: a delta of the dirty nodes,
+  /// a full base (empty chain or delta limit reached), or nothing
+  /// (unchanged seq).
+  void capture(StateStore& store, SnapshotCapture& out) const;
+  /// Capture half of finalize(), into `out`: always a full base.
+  static void capture_base(StateStore& store, SnapshotCapture& out);
   /// Persist half: writes the capture's base or delta file, commits the
   /// manifest, and after a base removes the superseded chain files. An
-  /// empty capture writes nothing. Returns the seq the chain now ends at.
-  std::uint64_t persist(SnapshotCapture capture);
+  /// empty capture writes nothing. Only a delta's parent_checksum is
+  /// written to; the capture's storage stays for the next capture.
+  /// Returns the seq the chain now ends at.
+  std::uint64_t persist(SnapshotCapture& capture);
 
   /// Elements (base + deltas) in the committed chain.
   std::size_t chain_length() const noexcept { return elements_.size(); }

@@ -21,7 +21,11 @@
 //  * `image()` is the copy-on-read snapshot: a plain-data copy of the
 //    entire logical state taken under the lock; serialization and disk
 //    I/O then run outside it, so a snapshot never stalls ingest for
-//    longer than the copy.
+//    longer than the copy. The `image(StateImage&)` form refills a
+//    caller's image in place, reusing its per-node storage: the daemon
+//    keeps one such buffer across boundaries, so at 10^5 nodes a capture
+//    is a 5-14 ms refill, about half of a fresh 9-23 ms build, and the
+//    4-12 ms free of that build is gone (docs/perf.md §7).
 //  * Determinism contract: every event draws from an RNG seeded as
 //    child_seed(seed, "service-apply", seq) — a pure function of the
 //    store seed and the event's sequence number. Hence a run interrupted
@@ -122,8 +126,6 @@ struct StoreState {
 /// Copy-on-read snapshot of the full logical state. Plain data: taking
 /// one never blocks on I/O, serializing one never needs the store lock.
 struct StateImage : StoreState {
-  static constexpr std::uint32_t kFormatVersion = 1;
-
   struct NodeImage {
     long server_meetings = 0;
     /// Sticky item or -1.
@@ -145,8 +147,6 @@ struct StateImage : StoreState {
 /// chain element this delta extends (base snapshot or previous delta);
 /// the restore path verifies the link before applying.
 struct StateDelta : StoreState {
-  static constexpr std::uint32_t kFormatVersion = 1;
-
   std::uint64_t parent_checksum = 0;  ///< filled in by the chain writer
   /// (node id, full image) for each dirty node, ascending by id.
   std::vector<std::pair<NodeId, StateImage::NodeImage>> nodes;
@@ -239,16 +239,37 @@ class StateStore {
   std::uint64_t apply_batch(std::span<const IngestLine> lines);
 
   /// Copy-on-read snapshot of the whole logical state.
-  StateImage image() const;
+  StateImage image() const {
+    StateImage out;
+    image(out);
+    return out;
+  }
+  /// The same snapshot written over `out`, whatever it held: every
+  /// field is overwritten and its per-node vectors are refilled in
+  /// place, so a buffer reused across snapshots allocates only where a
+  /// node outgrew it.
+  void image(StateImage& out) const;
 
   /// Full image that also resets per-node dirty tracking, atomically —
   /// the snapshot chain's base checkpoints go through this so the next
   /// delta is relative to exactly this image.
-  StateImage checkpoint_image();
+  StateImage checkpoint_image() {
+    StateImage out;
+    checkpoint_image(out);
+    return out;
+  }
+  void checkpoint_image(StateImage& out);
   /// Dirty-node incremental image since the last checkpoint_image /
   /// take_delta (or construction); resets the dirty set. The caller
   /// must persist the delta or the change information is lost.
-  StateDelta take_delta();
+  StateDelta take_delta() {
+    StateDelta out;
+    take_delta(out);
+    return out;
+  }
+  /// The same delta written over `out`, reusing its storage like
+  /// image(StateImage&); parent_checksum is reset to 0.
+  void take_delta(StateDelta& out);
   /// Nodes currently dirty (monitoring/test hook).
   std::size_t dirty_node_count() const;
   /// Copy of one node, taken under the lock (test hook: it carries the
@@ -289,9 +310,12 @@ class StateStore {
   void refresh_outstanding_locked() const;
   void record_delay_locked(double delay);
   void mark_dirty_locked(NodeId node);
-  StateImage::NodeImage node_image_locked(NodeId node) const;
+  /// Overwrites `out` with node `n`, reusing its vectors' storage.
+  void fill_node_locked(NodeId n, StateImage::NodeImage& out) const;
+  /// Copies the store-wide scalars; counters_.mandates_outstanding must
+  /// be current.
   void fill_state_locked(StoreState& state) const;
-  StateImage image_locked() const;
+  void image_locked(StateImage& out) const;
 
   static void cache_listener(void* context, ItemId item, int delta);
   static void fulfillment_sink(void* context, ItemId item, NodeId client,

@@ -87,7 +87,7 @@ bin_build_type() {
 print(json.load(sys.stdin)["context"].get("impatience_build_type", "unknown"))'
 }
 
-FILTER='BM_(SimulatorQcr|MarginalGainNaive|MarginalOracle|LazyGreedyFig5Oracle|LazyGreedyFig5Naive|BuildCompetitorsFig5PerTrial|BuildCompetitorsFig5Plan|LossTransformTabulated|LossTransformCached|DemandSampleLinear|DemandSampleAlias|SimulateFig6Slot|SimulateFig6Event|SimulateFig3FaultySlot|SimulateFig3FaultyEvent|QcrWelfareProbeScratch|QcrWelfareProbeIncremental|SimulateFig4Event500|MeanFieldFig4|ServiceThroughput|ServiceSnapshot|ServiceSnapshotLoad|ServiceRestore|SnapshotDelta|ServiceMetricsScrape|FeederThroughput)'
+FILTER='BM_(SimulatorQcr|MarginalGainNaive|MarginalOracle|LazyGreedyFig5Oracle|LazyGreedyFig5Naive|BuildCompetitorsFig5PerTrial|BuildCompetitorsFig5Plan|LossTransformTabulated|LossTransformCached|DemandSampleLinear|DemandSampleAlias|SimulateFig6Slot|SimulateFig6Event|SimulateFig3FaultySlot|SimulateFig3FaultyEvent|QcrWelfareProbeScratch|QcrWelfareProbeIncremental|SimulateFig4Event500|MeanFieldFig4|ServiceThroughput|ServiceSnapshot|ServiceCapture|ServiceSnapshotLoad|ServiceRestore|SnapshotDelta|ServiceMetricsScrape|FeederThroughput)'
 
 if [[ "$CHECK" == 1 ]]; then
   # Smoke subset: skip the end-to-end greedy benches (the naive baseline

@@ -145,6 +145,10 @@ WRITE_S="$(metric "$WORK/metrics.txt" replicationd_snapshot_write_seconds_last)"
   || { echo "FAIL: snapshot_waits_total '$WAITS' not in [0, $SNAPSHOTS]"; exit 1; }
 awk -v s="$WRITE_S" 'BEGIN { exit !(s ~ /^[0-9.e+-]+$/ && s + 0 > 0 && s + 0 < 60) }' \
   || { echo "FAIL: snapshot_write_seconds_last '$WRITE_S' not in (0, 60)"; exit 1; }
+# The last capture's time under the store lock, timed apart from the write.
+CAPTURE_S="$(metric "$WORK/metrics.txt" replicationd_snapshot_capture_seconds_last)"
+awk -v s="$CAPTURE_S" 'BEGIN { exit !(s ~ /^[0-9.e+-]+$/ && s + 0 > 0 && s + 0 < 60) }' \
+  || { echo "FAIL: snapshot_capture_seconds_last '$CAPTURE_S' not in (0, 60)"; exit 1; }
 
 kill -TERM "$DAEMON_PID"
 wait_for_exit "$DAEMON_PID"

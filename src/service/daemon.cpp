@@ -540,15 +540,25 @@ void ReplicationDaemon::await_idle_locked(std::unique_lock<std::mutex>& lock) {
   if (writer_error_) std::rethrow_exception(std::exchange(writer_error_, {}));
 }
 
-SnapshotCapture ReplicationDaemon::capture(bool final) {
-  if (!chain_) return {store_->image(), std::nullopt};
-  // Incremental checkpoint: delta of the dirty nodes (or a fresh base at
-  // the delta limit); the final one collapses the chain into a base.
-  return final ? SnapshotChain::capture_base(*store_)
-               : chain_->capture(*store_);
+void ReplicationDaemon::capture(bool final) {
+  const auto t0 = Clock::now();
+  if (!chain_) {
+    store_->image(capture_.image);
+    capture_.kind = SnapshotCapture::Kind::image;
+  } else if (final) {
+    // The final checkpoint collapses the chain into a base.
+    SnapshotChain::capture_base(*store_, capture_);
+  } else {
+    // Incremental checkpoint: delta of the dirty nodes (or a fresh base
+    // at the delta limit).
+    chain_->capture(*store_, capture_);
+  }
+  if (!capture_.empty()) {
+    metrics_.record_snapshot_capture(seconds_since(t0, Clock::now()));
+  }
 }
 
-void ReplicationDaemon::persist(SnapshotCapture capture) {
+void ReplicationDaemon::persist(SnapshotCapture& capture) {
   std::exception_ptr error;
   try {
     const auto t0 = Clock::now();
@@ -556,10 +566,9 @@ void ReplicationDaemon::persist(SnapshotCapture capture) {
     // possibly newer) live version.
     const std::uint64_t version = capture.version();
     if (chain_) {
-      chain_->persist(std::move(capture));  // the manifest commits
+      chain_->persist(capture);  // the manifest commits
     } else {
-      save_image(config_.snapshot_path, *capture.image);
-      capture = {};  // the image dies before the next capture can start
+      save_image(config_.snapshot_path, capture.image);
     }
     metrics_.record_snapshot(version, seconds_since(t0, Clock::now()));
   } catch (...) {
@@ -577,29 +586,29 @@ void ReplicationDaemon::snapshot_async() {
   if (config_.snapshot_path.empty()) return;
   std::unique_lock<std::mutex> lock(snapshot_mu_);
   await_idle_locked(lock);
-  SnapshotCapture captured = capture(/*final=*/false);
-  if (captured.empty()) return;
+  capture(/*final=*/false);
+  if (capture_.empty()) return;
   in_flight_ = true;
   if (writer_running_) {
-    queued_ = std::move(captured);
+    queued_ = true;
     lock.unlock();
     snapshot_cv_.notify_all();
     return;
   }
   // stop() already retired the writer: persist here, as before it existed.
   lock.unlock();
-  persist(std::move(captured));
+  persist(capture_);
 }
 
 std::uint64_t ReplicationDaemon::snapshot_now(bool final) {
   std::unique_lock<std::mutex> lock(snapshot_mu_);
   await_idle_locked(lock);
-  SnapshotCapture captured = capture(final);
-  if (captured.empty()) return metrics_.snapshot_last_version();
-  const std::uint64_t version = captured.version();
+  capture(final);
+  if (capture_.empty()) return metrics_.snapshot_last_version();
+  const std::uint64_t version = capture_.version();
   in_flight_ = true;
   lock.unlock();
-  persist(std::move(captured));
+  persist(capture_);
   return version;
 }
 
@@ -609,7 +618,7 @@ void ReplicationDaemon::snapshot_loop() {
       std::chrono::duration<double>(config_.snapshot_interval_s));
   auto next_tick = Clock::now() + interval;
   const auto woken = [this] {
-    return queued_.has_value() || stop_.load(std::memory_order_relaxed);
+    return queued_ || stop_.load(std::memory_order_relaxed);
   };
   std::unique_lock<std::mutex> lock(snapshot_mu_);
   for (;;) {
@@ -618,30 +627,28 @@ void ReplicationDaemon::snapshot_loop() {
     } else {
       snapshot_cv_.wait(lock, woken);
     }
-    std::optional<SnapshotCapture> work = std::exchange(queued_, {});
-    if (!work) {
+    if (!std::exchange(queued_, false)) {
       if (stop_.load(std::memory_order_relaxed)) break;
       // Interval tick. A synchronous snapshot persisting right now
       // already covers it.
       next_tick = Clock::now() + interval;
       if (in_flight_) continue;
       try {
-        work = capture(/*final=*/false);
+        capture(/*final=*/false);
       } catch (...) {
         writer_error_ = std::current_exception();
         continue;
       }
-      if (work->empty()) continue;
+      if (capture_.empty()) continue;
       in_flight_ = true;
     }
     lock.unlock();
     std::exception_ptr error;
     try {
-      persist(std::move(*work));
+      persist(capture_);
     } catch (...) {
       error = std::current_exception();
     }
-    work.reset();
     lock.lock();
     if (error) writer_error_ = error;  // the next capture rethrows it
   }

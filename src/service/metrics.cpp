@@ -24,6 +24,11 @@ void ServiceMetrics::record_snapshot(std::uint64_t version,
   snapshot_write_seconds_last_ = write_seconds;
 }
 
+void ServiceMetrics::record_snapshot_capture(double seconds) {
+  std::lock_guard<std::mutex> lock(mu_);
+  snapshot_capture_seconds_last_ = seconds;
+}
+
 void ServiceMetrics::record_snapshot_wait() {
   std::lock_guard<std::mutex> lock(mu_);
   ++snapshot_waits_;
@@ -47,6 +52,11 @@ std::uint64_t ServiceMetrics::snapshot_waits_total() const {
 double ServiceMetrics::snapshot_write_seconds_last() const {
   std::lock_guard<std::mutex> lock(mu_);
   return snapshot_write_seconds_last_;
+}
+
+double ServiceMetrics::snapshot_capture_seconds_last() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return snapshot_capture_seconds_last_;
 }
 
 double ServiceMetrics::apply_latency_percentile(double p) const {
@@ -111,6 +121,8 @@ std::string render_metrics(const StateStore& store,
       << metrics.snapshot_waits_total() << '\n';
   out << "replicationd_snapshot_write_seconds_last "
       << metrics.snapshot_write_seconds_last() << '\n';
+  out << "replicationd_snapshot_capture_seconds_last "
+      << metrics.snapshot_capture_seconds_last() << '\n';
   if (ingest != nullptr) {
     const auto load = [](const std::atomic<std::uint64_t>& a) {
       return a.load(std::memory_order_relaxed);

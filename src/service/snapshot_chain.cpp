@@ -23,6 +23,26 @@ std::string chain_basename(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
+// A chain refills one SnapshotCapture with bases and deltas in turn. So
+// that the two kinds keep one set of per-node vectors between them, a
+// delta borrows its NodeImages from the back of the image buffer, and
+// the next capture of either kind hands them back. Two whole buffers
+// raised replicationd's peak memory by ~11% at 10^5 nodes, where a delta
+// holds about half the nodes (docs/perf.md §7).
+void return_delta_nodes(SnapshotCapture& out) {
+  for (auto& entry : out.delta.nodes) {
+    out.image.nodes.push_back(std::move(entry.second));
+  }
+  out.delta.nodes.clear();
+}
+
+void lend_image_nodes(SnapshotCapture& out, std::size_t count) {
+  for (; count > 0 && !out.image.nodes.empty(); --count) {
+    out.delta.nodes.emplace_back(NodeId{0}, std::move(out.image.nodes.back()));
+    out.image.nodes.pop_back();
+  }
+}
+
 }  // namespace
 
 SnapshotChain::SnapshotChain(Options options)
@@ -41,43 +61,58 @@ std::string SnapshotChain::full_path(const std::string& basename) const {
   return dir_ + basename;
 }
 
-SnapshotCapture SnapshotChain::capture(StateStore& store) const {
+void SnapshotChain::capture(StateStore& store, SnapshotCapture& out) const {
+  return_delta_nodes(out);
   if (have_chain_ && store.seq() == last_seq_) {
     // Nothing countable happened since the last element. Skipping keeps
     // file names unique per chain: re-emitting `<...>.delta.<seq>` would
     // overwrite a file whose checksum the manifest already records.
-    return {};
+    out.kind = SnapshotCapture::Kind::none;
+    return;
   }
   if (!have_chain_ || deltas_since_base() >= options_.delta_limit) {
-    return capture_base(store);
+    capture_base(store, out);
+    return;
   }
-  return {std::nullopt, store.take_delta()};
+  // The dirty count only grows until take_delta resets it, so the
+  // borrowed nodes are all filled and none is freed.
+  lend_image_nodes(out, store.dirty_node_count());
+  store.take_delta(out.delta);
+  out.kind = SnapshotCapture::Kind::delta;
 }
 
-SnapshotCapture SnapshotChain::capture_base(StateStore& store) {
-  return {store.checkpoint_image(), std::nullopt};
+void SnapshotChain::capture_base(StateStore& store, SnapshotCapture& out) {
+  return_delta_nodes(out);
+  store.checkpoint_image(out.image);
+  out.kind = SnapshotCapture::Kind::image;
 }
 
-std::uint64_t SnapshotChain::persist(SnapshotCapture capture) {
-  if (capture.image) {
-    // finalize() forces a base even when the last element already sits
-    // at this seq: the collapsed chain must be a single file. The base
-    // file name can then collide with an existing `<...>.base.<seq>`;
-    // the content is a deterministic function of the state, so the
-    // atomic overwrite is byte-identical and the recorded checksum
-    // stays valid.
-    write_base(*capture.image);
-  } else if (capture.delta) {
-    StateDelta& delta = *capture.delta;
-    delta.parent_checksum = elements_.back().checksum;
-    Element element;
-    element.is_base = false;
-    element.seq = delta.seq;
-    element.file = basename_ + ".delta." + std::to_string(delta.seq);
-    element.checksum = save_delta(full_path(element.file), delta);
-    elements_.push_back(std::move(element));
-    last_seq_ = delta.seq;
-    commit_manifest();
+std::uint64_t SnapshotChain::persist(SnapshotCapture& capture) {
+  switch (capture.kind) {
+    case SnapshotCapture::Kind::image:
+      // finalize() forces a base even when the last element already
+      // sits at this seq: the collapsed chain must be a single file. The
+      // base file name can then collide with an existing
+      // `<...>.base.<seq>`; the content is a deterministic function of
+      // the state, so the atomic overwrite is byte-identical and the
+      // recorded checksum stays valid.
+      write_base(capture.image);
+      break;
+    case SnapshotCapture::Kind::delta: {
+      StateDelta& delta = capture.delta;
+      delta.parent_checksum = elements_.back().checksum;
+      Element element;
+      element.is_base = false;
+      element.seq = delta.seq;
+      element.file = basename_ + ".delta." + std::to_string(delta.seq);
+      element.checksum = save_delta(full_path(element.file), delta);
+      elements_.push_back(std::move(element));
+      last_seq_ = delta.seq;
+      commit_manifest();
+      break;
+    }
+    case SnapshotCapture::Kind::none:
+      break;
   }
   return last_seq_;
 }

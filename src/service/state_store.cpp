@@ -409,22 +409,23 @@ std::uint64_t StateStore::apply_malformed() {
   return version_;
 }
 
-StateImage::NodeImage StateStore::node_image_locked(NodeId n) const {
+void StateStore::fill_node_locked(NodeId n,
+                                  StateImage::NodeImage& out) const {
   const core::Node& node = nodes_[n];
-  StateImage::NodeImage ni;
-  ni.server_meetings = node.server_meetings();
+  out.server_meetings = node.server_meetings();
   const auto sticky = node.cache().sticky();
-  ni.sticky = sticky ? static_cast<std::int64_t>(*sticky) : -1;
-  ni.cache = node.cache().items();
-  for (ItemId item : node.mandates().active_items()) {
-    ni.mandates.emplace_back(item, node.mandates().count(item));
-  }
-  ni.pending = node.pending();
-  return ni;
+  out.sticky = sticky ? static_cast<std::int64_t>(*sticky) : -1;
+  // assign, not a fresh vector: the buffer's capacity from the previous
+  // snapshot is reused, and nothing stale survives a shorter list.
+  out.cache.assign(node.cache().items().begin(), node.cache().items().end());
+  const auto mandates = node.mandates().entries();
+  out.mandates.assign(mandates.begin(), mandates.end());
+  std::sort(out.mandates.begin(), out.mandates.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  out.pending.assign(node.pending().begin(), node.pending().end());
 }
 
 void StateStore::fill_state_locked(StoreState& state) const {
-  refresh_outstanding_locked();
   state.config = config_;
   state.seed = seed_;
   state.version = version_;
@@ -435,43 +436,47 @@ void StateStore::fill_state_locked(StoreState& state) const {
   state.recent_delays = recent_delays_;
 }
 
-StateImage StateStore::image_locked() const {
-  StateImage image;
-  fill_state_locked(image);
-  image.nodes.reserve(nodes_.size());
+void StateStore::image_locked(StateImage& out) const {
+  out.nodes.resize(nodes_.size());
+  // The node pass also sums the outstanding mandates, standing in for
+  // refresh_outstanding_locked's separate sweep.
+  long outstanding = 0;
   for (NodeId n = 0; n < config_.num_nodes; ++n) {
-    image.nodes.push_back(node_image_locked(n));
+    fill_node_locked(n, out.nodes[n]);
+    outstanding += nodes_[n].mandates().total();
   }
-  return image;
+  counters_.mandates_outstanding = outstanding;
+  fill_state_locked(out);
 }
 
-StateImage StateStore::image() const {
+void StateStore::image(StateImage& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return image_locked();
+  image_locked(out);
 }
 
-StateImage StateStore::checkpoint_image() {
+void StateStore::checkpoint_image(StateImage& out) {
   std::lock_guard<std::mutex> lock(mu_);
-  StateImage image = image_locked();
+  image_locked(out);
   // Image + dirty reset under one lock: the next delta is relative to
   // exactly this image, with no apply slipping in between.
   for (NodeId n : dirty_list_) dirty_[n] = 0;
   dirty_list_.clear();
-  return image;
 }
 
-StateDelta StateStore::take_delta() {
+void StateStore::take_delta(StateDelta& out) {
   std::lock_guard<std::mutex> lock(mu_);
-  StateDelta delta;
-  fill_state_locked(delta);
+  refresh_outstanding_locked();
+  fill_state_locked(out);
+  out.parent_checksum = 0;
   std::sort(dirty_list_.begin(), dirty_list_.end());
-  delta.nodes.reserve(dirty_list_.size());
-  for (NodeId n : dirty_list_) {
-    delta.nodes.emplace_back(n, node_image_locked(n));
+  out.nodes.resize(dirty_list_.size());
+  for (std::size_t i = 0; i < dirty_list_.size(); ++i) {
+    const NodeId n = dirty_list_[i];
+    out.nodes[i].first = n;
+    fill_node_locked(n, out.nodes[i].second);
     dirty_[n] = 0;
   }
   dirty_list_.clear();
-  return delta;
 }
 
 std::size_t StateStore::dirty_node_count() const {

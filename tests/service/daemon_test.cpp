@@ -742,5 +742,38 @@ TEST(Replicationd, SnapshotWriterMetricsAreExported) {
   runner.join();
 }
 
+// The capture half of a snapshot is timed on its own: the gauge reads 0
+// before any capture and afterwards carries the last capture's time under
+// the store lock, in the accessor and on /metrics alike.
+TEST(Replicationd, SnapshotCaptureSecondsAreExported) {
+  TempPath input("repl_capture_input");
+  {
+    std::ofstream out(input.path());
+    out << stream_text(600, 46, /*quit=*/true);
+  }
+  TempPath snap("repl_capture_snap");
+  DaemonConfig config;
+  config.store = small_config();
+  config.seed = 46;
+  config.input_path = input.path();
+  config.http_port = -1;
+  config.snapshot_path = snap.path();
+  config.snapshot_every = 100;
+  ReplicationDaemon daemon(config);
+  EXPECT_EQ(daemon.metrics().snapshot_capture_seconds_last(), 0.0);
+  daemon.run(nullptr);
+  EXPECT_GE(daemon.metrics().snapshots_total(), 6u);
+  const double seconds = daemon.metrics().snapshot_capture_seconds_last();
+  EXPECT_GT(seconds, 0.0);
+  EXPECT_LT(seconds, 60.0);
+
+  const std::string metrics =
+      render_metrics(daemon.store(), daemon.metrics(), 1.0, 0.0);
+  const std::string key = "replicationd_snapshot_capture_seconds_last ";
+  const std::size_t at = metrics.find(key);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GT(std::stod(metrics.substr(at + key.size())), 0.0);
+}
+
 }  // namespace
 }  // namespace impatience::service

@@ -217,6 +217,52 @@ TEST(ServiceSnapshotDelta, DeltaLimitCollapsesIntoAFreshBase) {
   EXPECT_EQ(serialized_image(restored), serialized(store));
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// The daemon refills one SnapshotCapture at every checkpoint, so a chain
+// that alternates bases and deltas moves node storage between the
+// capture's image and delta. Every element it writes must match the one
+// a fresh capture of a twin store writes.
+TEST(ServiceSnapshotDelta, ReusedCaptureWritesWhatFreshCapturesWrite) {
+  TempChain reused_chain("snapdelta_reused");
+  TempChain fresh_chain("snapdelta_fresh");
+  StateStore reused(small_config(), 61);
+  StateStore fresh(small_config(), 61);
+  SnapshotChain reused_writer({reused_chain.path(), 2});
+  SnapshotChain fresh_writer({fresh_chain.path(), 2});
+  SnapshotCapture capture;
+  std::size_t bases = 0, deltas = 0;
+  const auto events = workload(900, 62, 0.05);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    reused.apply(events[i]);
+    fresh.apply(events[i]);
+    if (i % 100 != 99) continue;
+    reused_writer.capture(reused, capture);
+    const std::uint64_t seq = reused_writer.persist(capture);
+    ASSERT_EQ(fresh_writer.snapshot(fresh), seq);
+    const bool base = capture.kind == SnapshotCapture::Kind::image;
+    (base ? bases : deltas) += 1;
+    const char* kind = base ? "base" : "delta";
+    EXPECT_EQ(file_bytes(reused_chain.file(kind, seq)),
+              file_bytes(fresh_chain.file(kind, seq)))
+        << kind << " at seq " << seq;
+  }
+  EXPECT_GE(bases, 3u);  // base, +d, +d, at least three times over
+  EXPECT_GE(deltas, 2 * bases - 2);
+  SnapshotChain::capture_base(reused, capture);
+  reused_writer.persist(capture);
+  fresh_writer.finalize(fresh);
+  EXPECT_EQ(file_bytes(reused_chain.file("base", reused.seq())),
+            file_bytes(fresh_chain.file("base", fresh.seq())));
+  EXPECT_EQ(serialized_image(SnapshotChain::restore_image(reused_chain.path())),
+            serialized(fresh));
+}
+
 TEST(ServiceSnapshotDelta, FinalizeCollapsesToASingleBase) {
   TempChain chain("snapdelta_final");
   StateStore store(small_config(), 51);

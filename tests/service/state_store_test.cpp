@@ -232,6 +232,136 @@ TEST(ServiceStateStore, RestoredLiveStateMatchesOriginal) {
   EXPECT_EQ(got_delta.str(), want_delta.str());
 }
 
+std::string image_bytes(const StateImage& image) {
+  std::ostringstream out;
+  write_image(out, image);
+  return out.str();
+}
+
+std::string delta_bytes(const StateDelta& delta) {
+  std::ostringstream out;
+  write_delta(out, delta);
+  return out.str();
+}
+
+/// Crashes `node`, then files `requests` requests there for an item it
+/// no longer holds: its pending list ends `requests` long.
+std::vector<Event> crash_then_request(NodeId node, std::size_t requests) {
+  std::vector<Event> events{{Event::Kind::crash, 0, node, 0, 0}};
+  const auto item = static_cast<ItemId>((node + 1) % small_config().num_items);
+  for (std::size_t i = 0; i < requests; ++i) {
+    events.push_back({Event::Kind::request, 0, node, 0, item});
+  }
+  return events;
+}
+
+/// The node whose pending list has the least capacity among `nodes`.
+template <typename Nodes, typename Pending>
+std::size_t least_pending_capacity(const Nodes& nodes, Pending pending) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    if (pending(nodes[i]).capacity() < pending(nodes[best]).capacity()) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+// A capture buffer reused across snapshots must carry nothing of its
+// previous fill. Between the two fills a crash-heavy tail drains mandate
+// bags and pending lists and shrinks caches, and one node's pending list
+// grows past the capacity the first fill left it, so per-node vectors
+// are refilled both shorter and longer than before. The refill must
+// serialize to the same bytes as a fresh image of a twin store.
+TEST(ServiceStateStore, RefilledCaptureMatchesFreshImage) {
+  StateStore store(small_config(), 31);
+  StateStore twin(small_config(), 31);
+  const auto apply_both = [&](const std::vector<Event>& events) {
+    for (const Event& event : events) {
+      store.apply(event);
+      twin.apply(event);
+    }
+  };
+  apply_both(workload(1500, 32));
+  StateImage buffer;
+  store.image(buffer);
+  ASSERT_EQ(image_bytes(buffer), image_bytes(twin.image()));
+  const StateImage first = buffer;
+  const std::size_t grown = least_pending_capacity(
+      buffer.nodes, [](const auto& ni) -> const auto& { return ni.pending; });
+  const std::size_t old_capacity = buffer.nodes[grown].pending.capacity();
+
+  apply_both(workload(600, 33, 0.3));
+  apply_both(crash_then_request(static_cast<NodeId>(grown),
+                                old_capacity + 3));
+  store.image(buffer);
+  EXPECT_EQ(image_bytes(buffer), image_bytes(twin.image()));
+
+  // The tail did shrink what the first fill held, and did outgrow it.
+  ASSERT_GT(store.faults().crashes, 10u);
+  EXPECT_GT(buffer.nodes[grown].pending.size(), old_capacity);
+  bool cache_shrank = false, mandates_shrank = false, pending_shrank = false;
+  for (std::size_t n = 0; n < buffer.nodes.size(); ++n) {
+    const auto& was = first.nodes[n];
+    const auto& now = buffer.nodes[n];
+    cache_shrank |= now.cache.size() < was.cache.size();
+    mandates_shrank |= now.mandates.size() < was.mandates.size();
+    pending_shrank |= now.pending.size() < was.pending.size();
+  }
+  EXPECT_TRUE(cache_shrank);
+  EXPECT_TRUE(mandates_shrank);
+  EXPECT_TRUE(pending_shrank);
+}
+
+// The delta twin: a reused StateDelta refilled with fewer dirty nodes
+// than its previous fill, some of them crashed, one with a pending list
+// past its slot's old capacity, and a parent_checksum the chain writer
+// left in it, serializes like a fresh take_delta() of a twin store.
+TEST(ServiceStateStore, RefilledDeltaMatchesFreshDelta) {
+  StateStore store(small_config(), 34);
+  StateStore twin(small_config(), 34);
+  const auto apply_both = [&](const std::vector<Event>& events) {
+    for (const Event& event : events) {
+      store.apply(event);
+      twin.apply(event);
+    }
+  };
+  apply_both(workload(1500, 35));
+  // Slots 0-2 of the first fill hold two pending requests each.
+  for (const NodeId node : {NodeId{0}, NodeId{1}, NodeId{2}}) {
+    apply_both(crash_then_request(node, 2));
+  }
+  StateDelta buffer;
+  store.take_delta(buffer);
+  ASSERT_EQ(delta_bytes(buffer), delta_bytes(twin.take_delta()));
+  ASSERT_EQ(buffer.nodes.size(), small_config().num_nodes);
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(buffer.nodes[i].second.pending.size(), 2u) << "slot " << i;
+  }
+  const StateDelta first = buffer;
+  buffer.parent_checksum = 0x1234;  // what a persist writes into it
+
+  // Three dirty nodes, so slots 0-2 are refilled: node 0, whose pending
+  // list outgrows what slot 0 held, and two crashed nodes with none.
+  const std::size_t old_capacity = buffer.nodes[0].second.pending.capacity();
+  std::vector<Event> tail = crash_then_request(0, old_capacity + 3);
+  for (const NodeId node : {NodeId{5}, NodeId{11}}) {
+    tail.push_back({Event::Kind::crash, 0, node, 0, 0});
+  }
+  apply_both(tail);
+  store.take_delta(buffer);
+  EXPECT_EQ(delta_bytes(buffer), delta_bytes(twin.take_delta()));
+
+  ASSERT_EQ(buffer.nodes.size(), 3u);
+  EXPECT_LT(buffer.nodes.size(), first.nodes.size());
+  EXPECT_EQ(buffer.nodes[0].first, 0u);
+  EXPECT_GT(buffer.nodes[0].second.pending.size(), old_capacity);
+  for (std::size_t i = 1; i < buffer.nodes.size(); ++i) {
+    EXPECT_TRUE(buffer.nodes[i].second.mandates.empty());
+    EXPECT_TRUE(buffer.nodes[i].second.pending.empty());
+  }
+}
+
 // The daemon batches ingest lines through apply_batch; a batch boundary
 // must not be a semantic boundary. Ragged splits, malformed lines and a
 // snapshot/restore cut mid-stream all land on the per-line bytes.
